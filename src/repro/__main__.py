@@ -68,12 +68,6 @@ def _fuzz_main(argv: List[str]) -> int:
     return fuzz_main(argv)
 
 
-def _shardcheck_main(argv: List[str]) -> int:
-    from repro.analysis.shardcheck import main as shardcheck_main
-
-    return shardcheck_main(argv)
-
-
 def _debug_main(argv: List[str]) -> int:
     from repro.observability.flight.debug import debug_main
 
@@ -106,8 +100,6 @@ SUBCOMMANDS: Dict[str, Tuple[str, Callable[[List[str]], int]]] = {
                "diagnosis", _report_main),
     "fuzz": ("FastFuzz differential conformance fuzzing (FM/TM oracle "
              "matrix)", _fuzz_main),
-    "shardcheck": ("FastPart shard-safety analysis and PartitionPlan "
-                   "emission", _shardcheck_main),
     "debug": ("FastWatch time-travel debug capsules (capture / list / "
               "show / diff / flame)", _debug_main),
     "top": ("live status of running/finished simulations (tails "

@@ -1,5 +1,6 @@
 """FastLint pass 3: AST determinism lint, plus the CLI entry point."""
 
+import json
 import textwrap
 
 from repro.analysis import Severity, lint_determinism, lint_source
@@ -158,3 +159,18 @@ def test_cli_lint_detects_seeded_violation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "DT002" in out
+
+
+def test_lint_json_mode_is_sorted_and_parsable(capsys):
+    from repro.analysis.cli import main as lint_main
+
+    exit_code = lint_main(["--json", "--pass", "graph", "--pass", "microcode"])
+    out = capsys.readouterr().out
+    document = json.loads(out)
+    assert exit_code == 0
+    assert document["diagnostics"]
+    keys = [
+        (d["rule"], d["location"], d["message"], d["hint"])
+        for d in document["diagnostics"]
+    ]
+    assert keys == sorted(keys)

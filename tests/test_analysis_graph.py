@@ -48,17 +48,6 @@ def test_default_core_graph_structure():
     assert graph.path_of(core.backend) == "timing_model/backend"
 
 
-def test_components_for_sharding():
-    root, a, b, _ab, _ba = build_chain()
-    c = root.add_child(Module("c"))
-    d = root.add_child(Module("d"))
-    cd = Connector("c2d").bind_endpoints(producer=c, consumer=d)
-    root.add_child(cd)
-    components = extract_graph(root).components()
-    as_names = sorted(sorted(m.name for m in comp) for comp in components)
-    assert as_names == [["a", "b"], ["c", "d"]]
-
-
 # -- TG001: dangling connectors ------------------------------------------
 
 

@@ -15,8 +15,8 @@ def test_parse_ignore_forms():
     assert parse_ignores("x = 1  # fastlint: ignore") == set()
     assert parse_ignores("x = 1  # fastlint: ignore[DT002]") == {"DT002"}
     assert parse_ignores(
-        "x = 1  # fastlint: ignore[DT002, SH005]"
-    ) == {"DT002", "SH005"}
+        "x = 1  # fastlint: ignore[DT002, ST003]"
+    ) == {"DT002", "ST003"}
 
 
 def test_docstring_mention_is_not_a_directive():
@@ -87,3 +87,17 @@ def test_tracker_shares_usage_across_passes():
     assert first is second
     lint_source(source, "sample.py", first)
     assert tracker.report_unused().by_rule("IG001") == ()
+
+
+def test_full_ast_run_reports_ig001(tmp_path):
+    # run_lint reaches report_unused only when every AST pass runs; a
+    # pass name in AST_PASSES that no run can select would silence
+    # IG001 without any error.
+    from repro.analysis.cli import AST_PASSES, PASS_NAMES, run_lint
+
+    assert AST_PASSES.issubset(PASS_NAMES)
+    stale = tmp_path / "stale.py"
+    stale.write_text("x = 1  # fastlint: ignore[DT002]\n")
+    report = run_lint(passes=sorted(AST_PASSES), paths=[str(stale)])
+    diags = report.by_rule("IG001")
+    assert [d.location for d in diags] == ["stale.py:1"]

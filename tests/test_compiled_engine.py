@@ -212,6 +212,23 @@ class TestEngineEquivalence:
         assert out["compiled"][0].idle_cycles > 0
 
 
+class TestEngineSelection:
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError):
+            _null_tm(engine="shraded")
+
+    def test_removed_sharded_engine_rejected(self):
+        # Only the compiled engine and its legacy reference remain.
+        with pytest.raises(ValueError) as excinfo:
+            _null_tm(engine="sharded")
+        message = str(excinfo.value)
+        assert "compiled" in message and "legacy" in message
+
+    def test_removed_shard_fields_rejected(self):
+        with pytest.raises(TypeError):
+            TimingConfig(shards=2)
+
+
 class TestListenerFastPaths:
     def test_commit_hook_rebinds_on_mutation(self):
         tm = _null_tm()
