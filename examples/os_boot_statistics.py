@@ -15,9 +15,9 @@ Run:  python examples/os_boot_statistics.py
 """
 
 from repro.experiments.harness import build_fast_simulator
+from repro.observability import CompiledTriggerQuery
 from repro.timing.stats import (
     StatisticTraceSampler,
-    TriggerQuery,
     active_functional_units,
     estimate_power,
 )
@@ -32,11 +32,14 @@ def bar(fraction: float, width: int = 30) -> str:
 def main():
     sim = build_fast_simulator(build_workload("linux-2.4", 1))
     sampler = StatisticTraceSampler(sim.tm, interval=250)
-    query = TriggerQuery(
-        sim.tm,
-        active_functional_units,
-        lambda busy: busy < 1,
-        name="no-active-fus",
+    tm = sim.tm
+    # The probe reads tm.cycle, so the query is evaluated every cycle.
+    query = CompiledTriggerQuery.below(
+        tm,
+        "no-active-fus",
+        lambda: active_functional_units(tm),
+        1,
+        idle_hint=lambda cycle: 0,
     )
     result = sim.run()
 
@@ -60,8 +63,8 @@ def main():
         "query '%s': fired %d times; first at cycle %s"
         % (
             query.name,
-            len(query.events),
-            query.events[0].cycle if query.events else "never",
+            len(query.firings),
+            query.firings[0].cycle if query.firings else "never",
         )
     )
 

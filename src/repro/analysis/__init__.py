@@ -17,7 +17,7 @@ Five passes, one diagnostic model:
 * :func:`lint_determinism` -- AST scan of simulator sources, rules
   ``DT001-DT004``;
 * :func:`lint_stat_registry` / stat-source lint -- statistics fabric,
-  rules ``ST001-ST004``;
+  rules ``ST001-ST003``;
 * :func:`repro.analysis.watch_rules.lint_watch_sources` -- FastWatch
   invariant fabric, rules ``IV001-IV003``.
 

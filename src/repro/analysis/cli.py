@@ -6,7 +6,7 @@ Runs the five FastLint passes against the default targets:
    configurations) from :mod:`repro.timing.core`;
 2. microcode/ISA cross-check over the default microcode table;
 3. determinism lint over the ``repro`` package sources;
-4. statistics-fabric lint (ST001-ST004): the same default cores'
+4. statistics-fabric lint (ST001-ST003): the same default cores'
    stat registries plus an AST pass over the sources;
 5. invariant-fabric lint (IV001-IV003): FastWatch registration
    placement, check-closure purity and idle-hint coverage over the

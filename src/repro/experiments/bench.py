@@ -413,7 +413,8 @@ def run_overhead_bench(smoke: bool = False, reps: Optional[int] = None) -> Dict:
         reps = 2
     workloads = bench_workloads(smoke)
     rows: Dict[str, Dict] = {}
-    overheads: List[float] = []
+    busy: List[float] = []
+    idle: List[float] = []
     for workload in workloads:
         stats: Dict[str, object] = {}
         best: Dict[str, float] = {}
@@ -425,7 +426,7 @@ def run_overhead_bench(smoke: bool = False, reps: Optional[int] = None) -> Dict:
                 stats[mode] = timing
                 best[mode] = min(best.get(mode, dt), dt)
         overhead = best["scoped"] / best["bare"]
-        overheads.append(overhead)
+        (idle if workload.name in IDLE_HEAVY else busy).append(overhead)
         cycles = stats["bare"].cycles
         _emit_bench_artifact(
             "bench-overhead", workload, stats["bare"], best["bare"],
@@ -449,17 +450,15 @@ def run_overhead_bench(smoke: bool = False, reps: Optional[int] = None) -> Dict:
             },
             "overhead": round(overhead, 3),
         }
-    geomean = 1.0
-    for o in overheads:
-        geomean *= o
-    geomean **= 1.0 / len(overheads)
     return {
         "bench": "observability-overhead",
         "smoke": smoke,
         "reps": reps,
         "max_cycles": MAX_CYCLES,
         "workloads": rows,
-        "geomean_overhead": round(geomean, 3),
+        "geomean_overhead": round(_geomean(busy + idle), 3),
+        "geomean_overhead_busy": round(_geomean(busy), 3),
+        "geomean_overhead_idle_heavy": round(_geomean(idle), 3),
     }
 
 
@@ -484,7 +483,14 @@ def render_overhead(report: Dict) -> str:
                 "ok" if row["stats_match"] else "FAIL",
             )
         )
-    lines.append("geomean overhead: %.2fx" % report["geomean_overhead"])
+    lines.append(
+        "geomean overhead: %.2fx overall, %.2fx busy, %.2fx idle-heavy"
+        % (
+            report["geomean_overhead"],
+            report["geomean_overhead_busy"],
+            report["geomean_overhead_idle_heavy"],
+        )
+    )
     return "\n".join(lines)
 
 

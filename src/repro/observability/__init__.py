@@ -14,25 +14,31 @@ the Python runtime:
   (bounded ring buffer -> JSONL) for the FM/TM seam: mispredict and
   resolution round trips, rollbacks, interrupt deliveries,
   trace-buffer high-water marks, checkpoint creation;
-* :class:`CompiledTriggerQuery` -- run-time trigger queries registered
-  as compiled-schedule cycle listeners *with idle hints*, so a standing
-  query does not pin the engine to single-stepping;
+* :class:`CompiledTriggerQuery` -- run-time trigger queries whose
+  edge test is spliced into the observation plane *with an idle hint*,
+  so a standing query does not pin the engine to single-stepping;
 * :class:`TickProfiler` -- host wall-time attribution per module tick
   and per pipeline stage, over the compiled schedule;
 * :class:`InvariantMonitor` -- the FastWatch invariant fabric: typed
-  per-Module invariants compiled into one idle-hinted cycle listener,
-  checked after every executed cycle on both engines, with violations
-  feeding the time-travel debug-capsule capture
+  per-Module invariants fused into one conjunction on the observation
+  plane, checked after every executed cycle on both engines, with
+  violations feeding the time-travel debug-capsule capture
   (:mod:`repro.functional.replay` +
   :mod:`repro.observability.flight.capsule`);
-* :class:`PulseEmitter` -- the FastPulse live telemetry plane: an
-  idle-hinted cycle listener that snapshots progress every N cycles
-  into an append-only ``pulse.jsonl`` sidecar (deterministic fields
+* :class:`PulseEmitter` -- the FastPulse live telemetry: an
+  idle-hinted subscriber that snapshots progress every N cycles into
+  an append-only ``pulse.jsonl`` sidecar (deterministic fields
   split from host-timing fields), with a :class:`LivenessWatchdog`
   classifying no-progress stalls while out-of-process readers
   (``python -m repro top``, the OpenMetrics exporter) tail the stream;
 * :class:`FastScope` -- the facade wiring all of the above onto a
   :class:`~repro.fast.simulator.FastSimulator` (or bare TimingModel).
+
+Every per-cycle observer above subscribes to one
+:class:`~repro.observability.plane.ObservationPlane` per timing model:
+each hands it a guard expression, a cold-path method and an idle hint,
+and the plane compiles them into a single generated cycle listener
+with one folded idle hint.
 
 Exposed on the command line as ``python -m repro stats``,
 ``python -m repro trace``, ``python -m repro debug``,

@@ -29,6 +29,18 @@ from typing import Callable, Deque, Dict, Iterator, List, Optional
 DEFAULT_CAPACITY = 65536
 
 
+def canonical_line(obj) -> str:
+    """Sorted-key, compact JSON on one line: the byte-stable encoding
+    every deterministic record uses (tracer, pulse, capsules, run
+    artifacts)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def jsonl(records) -> str:
+    """Canonical lines, each newline-terminated ("" for no records)."""
+    return "".join(canonical_line(record) + "\n" for record in records)
+
+
 @dataclass(frozen=True)
 class Event:
     """One cycle-stamped record from the FM/TM seam."""
@@ -43,10 +55,6 @@ class Event:
                                   "kind": self.kind}
         out.update(self.fields)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
 
 
 class EventTracer:
@@ -109,15 +117,10 @@ class EventTracer:
         line, trailing newline if nonempty.  With *footer*, a final
         ``trace_summary`` record carries the whole-run drop accounting
         so consumers can detect ring-overflow gaps."""
-        lines = [event.to_json() for event in self._ring]
+        records = [event.to_dict() for event in self._ring]
         if footer:
-            lines.append(
-                json.dumps(self.footer(), sort_keys=True,
-                           separators=(",", ":"))
-            )
-        if not lines:
-            return ""
-        return "\n".join(lines) + "\n"
+            records.append(self.footer())
+        return jsonl(records)
 
     def write_jsonl(self, path: str, footer: bool = False) -> int:
         """Write the ring to *path*; returns the number of records."""

@@ -16,16 +16,18 @@ to a central point (the flat scheme whose routing cost
 Sampling windows
 ----------------
 
-The fabric subscribes a compiled-schedule cycle listener that closes a
-window every ``window_cycles`` target cycles, recording the per-stream
-deltas since the previous window plus a sample of every gauge.  The
-listener declares an **unbounded idle hint**: during a quiescent span no
-module ticks, so no counter can change, and skipping the listener is
-sound.  A window boundary crossed inside a fast-forwarded span is
-therefore closed *retroactively* on the first executed cycle after the
-span; the fully-idle windows it jumped over are not silently dropped --
-they are merged into the closing record and counted in
-``elided_windows``, with the span's cycles in ``idle_cycles``.
+The fabric subscribes to the observation plane
+(:mod:`repro.observability.plane`) and closes a window every
+``window_cycles`` target cycles, recording the per-stream deltas since
+the previous window plus a sample of every gauge.  Its guard is one
+compare against the next boundary, and it declares an **unbounded idle
+hint**: during a quiescent span no module ticks, so no counter can
+change, and skipping the span is sound.  A window boundary crossed
+inside a fast-forwarded span is therefore closed *retroactively* on the
+first executed cycle after the span; the fully-idle windows it jumped
+over are not silently dropped -- they are merged into the closing
+record and counted in ``elided_windows``, with the span's cycles in
+``idle_cycles``.
 """
 
 from __future__ import annotations
@@ -33,13 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from repro.observability.plane import plane_for
+from repro.timing.core import IDLE_HINT_UNBOUNDED
 from repro.timing.module import Gauge, Module
-
-# Idle hint for the window listener: "skip as far as you can".  Sound
-# because a quiescent machine executes no module ticks, so no registered
-# stream can change value; boundary crossings are reconstructed
-# retroactively as elided windows.
-IDLE_HINT_UNBOUNDED = 1 << 40
 
 DEFAULT_WINDOW_CYCLES = 65536
 
@@ -106,7 +104,14 @@ class StatsFabric:
         self._boundaries_closed = 0
         self._next_boundary = tm.cycle + window_cycles
         self._finalized = False
-        tm.add_cycle_listener(self._on_cycle, idle_hint=self._idle_hint)
+        # Unbounded hint: a quiescent machine executes no module ticks,
+        # so no registered stream can change value; boundary crossings
+        # are reconstructed retroactively as elided windows.
+        plane_for(tm).subscribe(
+            lambda: ("cycle >= _s._next_boundary", {"_s": self}),
+            self._on_boundary,
+            IDLE_HINT_UNBOUNDED,
+        )
 
     # -- collection ------------------------------------------------------
 
@@ -139,15 +144,10 @@ class StatsFabric:
                     out[prefix + name] = stat.value()
         return out
 
-    # -- the per-cycle listener ------------------------------------------
+    # -- the plane's cold path -------------------------------------------
 
-    def _idle_hint(self, cycle: int) -> int:
-        return IDLE_HINT_UNBOUNDED
-
-    def _on_cycle(self, cycle: int) -> None:
-        # Hot path: one compare per executed cycle.
-        if cycle >= self._next_boundary:
-            self._close(cycle, partial=False)
+    def _on_boundary(self, cycle: int) -> None:
+        self._close(cycle, partial=False)
 
     def _close(self, cycle: int, partial: bool) -> None:
         now = self._collect()

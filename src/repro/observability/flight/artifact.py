@@ -42,6 +42,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.observability.events import canonical_line
+
 SCHEMA_VERSION = 1
 DEFAULT_ROOT = os.path.join("results", "runs")
 
@@ -66,7 +68,7 @@ PULSE_FOOTER_KIND = "pulse_footer"
 def canonical_json(obj: Any) -> str:
     """Sorted-key, compact, newline-terminated JSON -- the byte-stable
     encoding every hashed artifact file uses."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_line(obj) + "\n"
 
 
 def _plain(obj: Any) -> Any:

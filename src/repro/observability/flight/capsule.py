@@ -31,6 +31,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.observability.events import jsonl
 from repro.observability.flight.artifact import (
     DEFAULT_ROOT,
     MANIFEST_NAME,
@@ -53,15 +54,6 @@ EVENTS_NAME = "events.jsonl"
 # Payload files whose bytes enter the content hash.  profile.json is
 # host wall-time and engine-specific; it rides along unhashed.
 CAPSULE_HASHED_FILES = (CAPSULE_NAME, WINDOW_NAME, EVENTS_NAME)
-
-
-def _jsonl(records: List[dict]) -> str:
-    if not records:
-        return ""
-    return "\n".join(
-        json.dumps(record, sort_keys=True, separators=(",", ":"))
-        for record in records
-    ) + "\n"
 
 
 @dataclass
@@ -184,8 +176,8 @@ def emit_capsule(
     }
     files: Dict[str, str] = {
         CAPSULE_NAME: canonical_json(payload),
-        WINDOW_NAME: _jsonl(capture.rows),
-        EVENTS_NAME: _jsonl(capture.events),
+        WINDOW_NAME: jsonl(capture.rows),
+        EVENTS_NAME: jsonl(capture.events),
     }
     if capture.profile is not None:
         files[PROFILE_NAME] = canonical_json(capture.profile)

@@ -22,6 +22,7 @@ import argparse
 import json
 from typing import List, Optional
 
+from repro.observability.events import canonical_line
 from repro.observability.flight.artifact import ArtifactError, DEFAULT_ROOT
 from repro.observability.flight.capsule import (
     diff_capsules,
@@ -196,8 +197,7 @@ def _cmd_show(args) -> int:
     if args.events and events:
         print()
         for event in events[: args.events]:
-            print("  %s" % json.dumps(event, sort_keys=True,
-                                      separators=(",", ":")))
+            print("  %s" % canonical_line(event))
     return 1 if problems else 0
 
 

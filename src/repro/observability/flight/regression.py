@@ -21,10 +21,10 @@ committed ``BENCH_*.json`` baselines, giving CI a regression gate.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.observability.events import canonical_line
 from repro.observability.flight.analytics import (
     module_for_kind,
     seam_attribution,
@@ -107,10 +107,7 @@ class Divergence:
 
 
 def _canonical_records(events: List[Dict[str, Any]]) -> List[str]:
-    return [
-        json.dumps(event, sort_keys=True, separators=(",", ":"))
-        for event in events
-    ]
+    return [canonical_line(event) for event in events]
 
 
 def _prefix_hashes(records: List[str]) -> List[bytes]:

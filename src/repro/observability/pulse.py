@@ -4,12 +4,12 @@ Everything FastScope, FastFlight and FastWatch report is post-hoc --
 nothing is visible until ``run()`` returns.  FastPulse closes that gap
 the way co-emulation control planes do (ZynqParrot's host-visible
 status registers, CHESSY-style heartbeats): a :class:`PulseEmitter`
-subscribes to the timing model's cycle-listener seam *with an idle
-hint*, so arming it preserves the compiled engine's idle fast-forward,
-and every ``interval_cycles`` target cycles it snapshots progress into
-an append-only ``pulse.jsonl`` sidecar that out-of-process readers
-(``python -m repro top``, the OpenMetrics exporter) tail while the run
-is still in flight.
+subscribes to the observation plane (:mod:`repro.observability.plane`)
+*with an idle hint*, so arming it preserves the compiled engine's idle
+fast-forward, and every ``interval_cycles`` target cycles it snapshots
+progress into an append-only ``pulse.jsonl`` sidecar that
+out-of-process readers (``python -m repro top``, the OpenMetrics
+exporter) tail while the run is still in flight.
 
 Record stream
 -------------
@@ -66,6 +66,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.observability.events import canonical_line
+from repro.observability.plane import plane_for
+
 PULSE_SCHEMA = 1
 PULSE_NAME = "pulse.jsonl"
 DEFAULT_PULSE_DIR = os.path.join("results", "pulse")
@@ -82,9 +85,7 @@ FOOTER_KIND = "pulse_footer"
 
 
 def _det_line(det: Dict[str, Any]) -> bytes:
-    return json.dumps(det, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
+    return canonical_line(det).encode("utf-8")
 
 
 class LivenessWatchdog:
@@ -140,14 +141,12 @@ class LivenessWatchdog:
 
 
 class PulseEmitter:
-    """Sample live progress from the cycle-listener seam.
+    """Sample live progress from the observation plane.
 
     Arm *before* ``run()``.  With *path* the sidecar is written (and
     flushed) live; without, records accumulate in memory (the fuzz
-    oracle's mode).  The listener registers with an idle hint derived
-    from the cadence -- idle spans batch up to the next due sample --
-    unless *single_step* forces hintless registration (FastLint flags
-    that: rule ST004).
+    oracle's mode).  The emitter subscribes with an idle hint derived
+    from the cadence, so idle spans batch up to the next due sample.
     """
 
     def __init__(
@@ -162,7 +161,6 @@ class PulseEmitter:
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         monitor=None,
         watchdog: Optional[LivenessWatchdog] = None,
-        single_step: bool = False,
     ):
         if interval_cycles < 1:
             raise ValueError("interval_cycles must be >= 1")
@@ -186,6 +184,7 @@ class PulseEmitter:
         self._next_due = self.interval_cycles
         self._hb_check_cycles = max(1024, self.interval_cycles // 8)
         self._next_hb_check = self._hb_check_cycles
+        self._next_wake = min(self._next_due, self._next_hb_check)
         self._hash = hashlib.sha256()
         self._finalized = False
         self._lines: List[str] = []  # in-memory mode only
@@ -200,12 +199,13 @@ class PulseEmitter:
                 os.makedirs(parent, exist_ok=True)
             self._fh = open(path, "w")
         self._write_header()
-        if single_step:
-            tm.add_cycle_listener(self._on_cycle)  # fastlint: ignore[ST003]
-        else:
-            tm.add_cycle_listener(self._on_cycle, idle_hint=self._idle_hint)
+        plane_for(tm).subscribe(
+            lambda: ("cycle >= _s._next_wake", {"_s": self}),
+            self._on_cycle,
+            self._idle_hint,
+        )
 
-    # -- the listener seam ----------------------------------------------
+    # -- the plane seam --------------------------------------------------
 
     def _idle_hint(self, cycle: int) -> int:
         # Cycles strictly inside (cycle, next_due) are no-ops for the
@@ -215,11 +215,12 @@ class PulseEmitter:
         return max(0, self._next_due - cycle - 1)
 
     def _on_cycle(self, cycle: int) -> None:
-        if cycle < self._next_due:
-            if cycle >= self._next_hb_check:
-                self._heartbeat_check(cycle)
-            return
-        self._sample(cycle)
+        # Woken: a sample is due, or else a heartbeat check is.
+        if cycle >= self._next_due:
+            self._sample(cycle)
+        else:
+            self._heartbeat_check(cycle)
+        self._next_wake = min(self._next_due, self._next_hb_check)
 
     # -- sampling --------------------------------------------------------
 
@@ -351,7 +352,7 @@ class PulseEmitter:
     ) -> None:
         record = {"kind": kind, "seq": self._seq, "det": det, "host": host}
         self._seq += 1
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        line = canonical_line(record)
         if self._fh is not None:
             # One write + flush per record: the line (header included)
             # lands atomically for line-oriented tailers.

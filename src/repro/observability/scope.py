@@ -11,6 +11,11 @@ and the optional tick profiler::
     report = scope.report()
     scope.write_trace("trace.jsonl")
 
+Every per-cycle observer FastScope arms -- fabric, invariant monitor,
+pulse emitter, trigger queries -- subscribes to the timing model's one
+observation plane (:mod:`repro.observability.plane`), so a fully armed
+scope adds exactly one cycle listener, in that subscription order.
+
 Everything FastScope attaches is read-only with respect to the
 simulation, so a scoped run produces bit-identical ``TimingStats`` to a
 bare one -- the invariant the determinism tests pin.
@@ -62,16 +67,15 @@ class FastScope:
         self.triggers: List[CompiledTriggerQuery] = []
         # The FastWatch invariant fabric is always-on by default: every
         # invariant declares an idle hint, so arming it keeps the
-        # compiled engine's idle fast-forward and stays inside the
-        # observability overhead budget the bench gates.
+        # compiled engine's idle fast-forward.
         self.monitor: Optional[InvariantMonitor] = None
         if invariants:
             self.monitor = InvariantMonitor(
                 sim.tm, extra_roots=(sim.feed,)
             )
-        # The FastPulse live telemetry plane: cadence-hinted like the
-        # monitor, so arming it also keeps idle fast-forward (and rides
-        # inside the same overhead budget the bench gates).
+        # The FastPulse live telemetry: cadence-hinted, so arming it
+        # also keeps idle fast-forward.  It subscribes after the
+        # monitor because it reads monitor.firings in the same cycle.
         self.pulse: Optional[PulseEmitter] = None
         if pulse_path is not None:
             self.pulse = PulseEmitter(

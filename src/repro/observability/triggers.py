@@ -1,16 +1,12 @@
-"""Run-time trigger queries compiled into the schedule.
+"""Run-time trigger queries on the observation plane.
 
 "Run-time queries, such as 'when does the number of active functional
 units drop below 1?', can continuously run in hardware at full speed."
 (paper section 3)
 
-The legacy :class:`repro.timing.stats.TriggerQuery` appends a bare
-listener to ``tm.cycle_listeners`` -- which disables the compiled
-engine's idle fast-forward entirely, because a hintless listener may
-need to observe *every* cycle.  :class:`CompiledTriggerQuery` is the
-engine-aware replacement: it registers through
-``tm.add_cycle_listener`` **with an idle hint** (FastLint rule ST003
-flags the bare-append pattern).
+:class:`CompiledTriggerQuery` subscribes to the observation plane
+(:mod:`repro.observability.plane`) with an idle hint, so a standing
+query does not pin the compiled engine to single-stepping.
 
 The default hint is unbounded, and that is sound for the common case:
 a probe that reads only module state (queue occupancy, ROB depth,
@@ -18,18 +14,16 @@ busy-unit counts) cannot change value across a quiescent span, because
 no module executes a step inside one.  The condition is evaluated on
 the cycle the span starts from and again on the waking cycle, which is
 exactly the set of cycles on which its value can differ.  A probe that
-depends on the cycle number itself must pass an explicit *idle_hint*
-(or ``single_step=True``) instead.
+depends on the cycle number itself must pass an explicit *idle_hint*;
+``idle_hint=lambda cycle: 0`` evaluates it on every cycle.
 
-The per-cycle listener is *compiled*, the same move the engine makes
-for module ticks (:mod:`repro.timing.pipeline.fastpath`) and the
-invariant monitor makes for its fused probe: a canonical probe carries
-an ``inline_expr`` that is spliced into the generated listener source,
-and the ``below``/``at_least`` comparisons become literal operators,
-so the armed steady state costs one Python call per executed cycle
-instead of a listener -> probe -> condition chain.  Arbitrary probe
-and condition callables still work -- they are called from the
-generated body instead of being inlined.
+The query's guard is the edge test itself: a canonical probe carries an
+``inline_expr`` that is spliced into the plane's generated function,
+and the ``below``/``at_least`` comparisons become literal operators, so
+the guard ``(<value> <op> threshold) == armed`` is true only on a
+rising edge or a re-arm and the steady state costs no call at all.
+Arbitrary probe and condition callables still work -- they are called
+from the guard instead of being inlined.
 """
 
 from __future__ import annotations
@@ -37,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-IDLE_HINT_UNBOUNDED = 1 << 40
+from repro.observability.plane import plane_for
+from repro.timing.core import IDLE_HINT_UNBOUNDED
 
 DEFAULT_MAX_FIRINGS = 10_000
 
@@ -51,8 +46,8 @@ class TriggerFiring:
 
 
 class CompiledTriggerQuery:
-    """An edge-triggered predicate over simulator state, evaluated as a
-    compiled-schedule cycle listener with an idle hint.
+    """An edge-triggered predicate over simulator state, evaluated on
+    the observation plane with an idle hint.
 
     *probe* is a zero-argument callable returning the watched value;
     *condition* maps that value to a bool.  The query records the cycle
@@ -67,7 +62,6 @@ class CompiledTriggerQuery:
         probe: Callable[[], float],
         condition: Callable[[float], bool],
         idle_hint: Optional[Callable[[int], int]] = None,
-        single_step: bool = False,
         max_firings: int = DEFAULT_MAX_FIRINGS,
         _compare: Optional[Tuple[str, float]] = None,
     ):
@@ -80,36 +74,23 @@ class CompiledTriggerQuery:
         self.fire_count = 0
         self._armed = True
         self._compare = _compare
-        if single_step:
-            # The caller's probe is cycle-dependent: evaluate every
-            # cycle, accepting that idle fast-forward is disabled.
-            hint = self._hint_zero
-        elif idle_hint is not None:
-            hint = idle_hint
-        else:
-            hint = self._hint_unbounded
-        tm.add_cycle_listener(self._compile_listener(), idle_hint=hint)
+        plane_for(tm).subscribe(
+            self._guard,
+            self._edge,
+            IDLE_HINT_UNBOUNDED if idle_hint is None else idle_hint,
+        )
 
-    @staticmethod
-    def _hint_unbounded(cycle: int) -> int:
-        return IDLE_HINT_UNBOUNDED
+    def _guard(self):
+        """The plane guard: the condition differs from ``_armed`` only
+        on a rising edge (true while armed) or on the first false cycle
+        after one (false while disarmed).
 
-    @staticmethod
-    def _hint_zero(cycle: int) -> int:
-        return 0
-
-    def _compile_listener(self) -> Callable[[int], None]:
-        """Generate the per-cycle hook with the probe and comparison
-        spliced in.
-
-        The steady state (condition false, or still inside an active
-        edge) must touch nothing but locals and one ``_q._armed`` read.
         Equivalence with the reference semantics -- evaluate the
         condition every executed cycle, fire on the rising edge, re-arm
         on the first false cycle after -- is pinned by the
         generic-vs-inlined test in tests/test_observability.py.
         """
-        namespace: dict = {"_q": self}
+        namespace: dict = {"_s": self}
         expr = getattr(self.probe, "inline_expr", None)
         if expr is not None:
             namespace.update(self.probe.inline_ns)
@@ -120,33 +101,25 @@ class CompiledTriggerQuery:
         if self._compare is not None:
             op, threshold = self._compare
             namespace["_t"] = threshold
-            test_src = "value %s _t" % op
+            test_src = "((%s) %s _t)" % (value_src, op)
         else:
             # An arbitrary condition keeps the float contract canonical
             # probes would otherwise guarantee through their lambda.
             namespace["_cond"] = self.condition
             if expr is not None:
                 value_src = "float(%s)" % value_src
-            test_src = "_cond(value)"
-        source = (
-            "def _listener(cycle):\n"
-            "    value = %s\n"
-            "    if %s:\n"
-            "        if _q._armed:\n"
-            "            _q._fire_edge(cycle, value)\n"
-            "    elif not _q._armed:\n"
-            "        _q._armed = True\n" % (value_src, test_src)
-        )
-        exec(source, namespace)
-        return namespace["_listener"]
+            test_src = "bool(_cond(%s))" % value_src
+        return "%s == _s._armed" % test_src, namespace
 
-    def _fire_edge(self, cycle: int, value) -> None:
-        """Rising edge (cold path): record the firing and disarm until
-        the condition goes false again."""
+    def _edge(self, cycle: int) -> None:
+        """Cold path: record a rising edge and disarm, or re-arm."""
+        if not self._armed:
+            self._armed = True
+            return
         self._armed = False
         self.fire_count += 1
         if len(self.firings) < self.max_firings:
-            self.firings.append(TriggerFiring(cycle, float(value)))
+            self.firings.append(TriggerFiring(cycle, float(self.probe())))
 
     @property
     def first_fired(self) -> Optional[int]:
@@ -183,9 +156,9 @@ class CompiledTriggerQuery:
 # -- canonical probes -------------------------------------------------------
 #
 # Each probe is a plain zero-argument callable, plus an ``inline_expr``
-# / ``inline_ns`` pair the trigger compiler splices into its generated
-# listener.  The expression must compute the same value as the lambda;
-# where it inlines another module's accessor body, a lockstep note at
+# / ``inline_ns`` pair the trigger query splices into its plane guard.
+# The expression must compute the same value as the lambda; where it
+# inlines another module's accessor body, a lockstep note at
 # the definition site records the pairing.
 
 

@@ -12,8 +12,9 @@ fact; FastWatch checks the properties *at the cycle they break*.
 Modules declare invariants at construction time with
 :meth:`~repro.timing.module.Module.new_invariant`, exactly parallel to
 their FastScope stats.  :class:`InvariantMonitor` walks the module
-roots, compiles every registered invariant into one per-cycle probe and
-subscribes it as a cycle listener on both tick engines -- with an idle
+roots and subscribes every registered invariant to the observation
+plane (:mod:`repro.observability.plane`) as one fused conjunction,
+checked after every executed cycle on both tick engines -- with an idle
 hint derived from the invariants' own declarations, so the compiled
 engine's idle fast-forward (and with it the <= 1.10x observability
 budget) survives arming.
@@ -35,11 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from repro.observability.plane import plane_for, rename
+from repro.timing.core import IDLE_HINT_UNBOUNDED
 from repro.timing.module import Invariant, Module
-
-# Effectively-infinite idle hint: an idle span never exceeds the run's
-# cycle budget.  (Same convention as fabric.py and triggers.py.)
-IDLE_HINT_UNBOUNDED = 1 << 40
 
 # The hint value Module.new_invariant documents for "cannot change
 # during a quiescent span" -- the common case for structural bounds,
@@ -103,90 +102,44 @@ def _resolve_hint(hint) -> Optional[int]:
     return int(hint)
 
 
-def _compile_fused(watches: List[_Watch]) -> Callable[[], bool]:
-    """Fuse every watch into one ``lambda: (...) and (...) and ...``.
+def _conjunction(watches: List[_Watch]) -> Tuple[str, dict]:
+    """Fuse every watch into one ``(...) and (...) and ...`` source
+    chain ("True" for none) plus its namespace, spliced into the
+    monitor's plane guard.
 
-    The same move the compiled engine makes for module ticks
-    (repro.timing.pipeline.fastpath): the always-on hot path becomes a
-    single Python call.  An invariant that declared an ``expr`` is
-    inlined -- its expression is re-rooted from the free name ``m``
-    onto the owning module -- and one without falls back to calling its
-    ``check`` closure inside the chain.
+    An invariant that declared an ``expr`` is inlined -- its expression
+    is re-rooted from the free name ``m`` onto the owning module -- and
+    one without falls back to calling its ``check`` closure inside the
+    chain.
     """
-    parts, namespace = _fused_parts(watches)
-    if not parts:
-        return lambda: True
-    return eval("lambda: " + " and ".join(parts), namespace)
-
-
-def _fused_parts(watches: List[_Watch]):
-    """The per-watch source fragments and their namespace, shared by
-    the standalone fused probe and the compiled cycle listener."""
-    import ast
-
     namespace: dict = {}
     parts: List[str] = []
     for index, watch in enumerate(watches):
         expr = watch.invariant.expr
         if expr is not None:
             name = "m%d" % index
-
-            class _Rename(ast.NodeTransformer):
-                def visit_Name(self, node: ast.Name) -> ast.Name:
-                    if node.id == "m":
-                        return ast.copy_location(
-                            ast.Name(id=name, ctx=node.ctx), node
-                        )
-                    return node
-
-            tree = _Rename().visit(ast.parse(expr, mode="eval"))
             namespace[name] = watch.module
-            parts.append("(%s)" % ast.unparse(tree))
+            parts.append("(%s)" % rename(expr, {"m": name}))
         else:
             name = "c%d" % index
             namespace[name] = watch.check
             parts.append("%s()" % name)
-    return parts, namespace
-
-
-def _compile_listener(watches: List[_Watch], monitor) -> Callable[[int], None]:
-    """Compile the monitor's whole cycle hook with the fused probe
-    spliced in.
-
-    One Python call per executed cycle on the healthy path -- the
-    conjunction evaluates inline instead of through a separate
-    ``self._fused()`` call, and the only attribute the fast path
-    touches is the stale-edge flag.  Fall back to the bound method
-    (``InvariantMonitor._on_cycle``) for selfcheck mode, which needs
-    the authoritative check closures every cycle.
-    """
-    parts, namespace = _fused_parts(watches)
-    if not parts:
-        fused_src = "True"
-    else:
-        fused_src = " and ".join(parts)
-    namespace["_mon"] = monitor
-    source = (
-        "def _listener(cycle):\n"
-        "    if %s:\n"
-        "        if _mon._any_active:\n"
-        "            _mon._clear_active()\n"
-        "        return\n"
-        "    _mon._scan(cycle)\n" % fused_src
-    )
-    exec(source, namespace)
-    return namespace["_listener"]
+    return " and ".join(parts) or "True", namespace
 
 
 class InvariantMonitor:
     """Arm every registered invariant under the given module roots.
 
     Parallel to :class:`~repro.observability.fabric.StatsFabric`: walk
-    ``(tm,) + extra_roots``, collect the typed invariants, compile them
-    into one cycle listener and subscribe it with the combined idle
-    hint.  Checks run after every executed target cycle, on both the
-    legacy and compiled engines (both run the cycle-listener hook after
-    their per-cycle steps).
+    ``(tm,) + extra_roots``, collect the typed invariants and subscribe
+    them to the observation plane with the combined idle hint.  Checks
+    run after every executed target cycle, on both the legacy and
+    compiled engines.
+
+    The plane guard is ``_any_active or not (<fused conjunction>)``, so
+    a healthy cycle costs the inlined conjunction and nothing else.  In
+    *selfcheck* mode the guard is always true: every cycle cross-checks
+    the inlined conjunction against the authoritative check closures.
 
     Firings are edge-triggered -- a persistently-false invariant records
     one :class:`Violation` at the first failing cycle, and re-arms only
@@ -213,8 +166,7 @@ class InvariantMonitor:
         self.hintless: List[str] = []
 
         watches: List[_Watch] = []
-        min_hint: int = IDLE_HINT_UNBOUNDED
-        pinned = False
+        min_hint: Optional[int] = IDLE_HINT_UNBOUNDED
         roots = (tm,) + tuple(
             root for root in extra_roots if isinstance(root, Module)
         )
@@ -224,66 +176,44 @@ class InvariantMonitor:
                     watches.append(_Watch(path, invariant, module))
                     bound = _resolve_hint(invariant.hint)
                     if bound is None:
-                        pinned = True
+                        # A hintless invariant (FastLint rule IV003)
+                        # pins the engine to single-cycle stepping.
+                        min_hint = None
                         self.hintless.append(path + "/" + invariant.name)
-                    elif bound < min_hint:
+                    elif min_hint is not None and bound < min_hint:
                         min_hint = bound
         self._watches = watches
-        self._idle_bound = min_hint
         self._any_active = False
-        self._fused = _compile_fused(watches)
-        # The compiled listener needs re-compiling when the watch set
-        # changes (storm limit); that swap goes through
-        # tm.replace_cycle_listener, so a tm without the primitive
-        # (test doubles) falls back to the dynamic bound method, as
-        # does selfcheck mode.
-        self._listener: Optional[Callable[[int], None]] = None
-        if not selfcheck and hasattr(tm, "replace_cycle_listener"):
-            self._listener = _compile_listener(watches, self)
-        hook = self._listener if self._listener is not None else self._on_cycle
+        self._plane = plane_for(tm)
         if watches:
-            if pinned:
-                # A hintless invariant (FastLint rule IV003) pins the
-                # engine to single-cycle stepping: register without a
-                # hint, which disables idle fast-forward entirely.
-                tm.add_cycle_listener(hook)  # fastlint: ignore[ST003]
-            else:
-                tm.add_cycle_listener(hook, idle_hint=self._idle_hint)
+            # The minimum is sound: within a span that short no armed
+            # invariant's check can change value.
+            self._plane.subscribe(self._guard, self._scan, min_hint)
 
-    # -- hot path --------------------------------------------------------
+    # -- the plane seam --------------------------------------------------
 
-    def _idle_hint(self, cycle: int) -> int:
-        # Sound because every armed invariant declared an idle bound:
-        # within the span none of their checks can change value.
-        return self._idle_bound
+    def _guard(self):
+        fused, namespace = _conjunction(self._watches)
+        namespace["_s"] = self
+        if self.selfcheck:
+            return "_s._agrees(cycle, %s)" % fused, namespace
+        return "_s._any_active or not (%s)" % fused, namespace
 
-    def _on_cycle(self, cycle: int) -> None:
-        if self.selfcheck and self._fused() != all(
-            w.check() for w in self._watches
-        ):
+    def _agrees(self, cycle: int, fused) -> bool:
+        """Selfcheck guard: the fused conjunction must agree with the
+        check closures; then scan anyway."""
+        if fused != all(w.check() for w in self._watches):
             raise AssertionError(
                 "fused invariant probe disagrees with the check closures "
                 "at cycle %d: some expr= drifted from its check=" % cycle
             )
-        if self._fused():
-            # Fast path: every invariant holds -- the common case on
-            # every executed cycle of a healthy run.
-            if self._any_active:
-                self._clear_active()
-            return
-        self._scan(cycle)
+        return True
 
     # -- firing (cold path) ----------------------------------------------
 
-    def _clear_active(self) -> None:
-        """Every invariant holds again: drop stale edge state so the
-        next failure fires fresh."""
-        for watch in self._watches:
-            watch.active = False
-        self._any_active = False
-
     def _scan(self, cycle: int) -> None:
-        """Something failed: find which, edge-detect, fire."""
+        """Something failed, or held again after a failure: find which,
+        edge-detect, fire."""
         for watch in self._watches:
             if watch.check():
                 watch.active = False
@@ -291,7 +221,7 @@ class InvariantMonitor:
                 watch.active = True
                 self._fire(watch, cycle)
         # _fire may have rebuilt the list (storm limit); a dropped
-        # watch no longer holds the fast path hostage.
+        # watch no longer holds the guard open.
         self._any_active = any(w.active for w in self._watches)
 
     def _fire(self, watch: _Watch, cycle: int) -> None:
@@ -312,16 +242,12 @@ class InvariantMonitor:
             self.violations.append(violation)
         if watch.firings >= self.max_firings_per_invariant:
             # A storming invariant stops being evaluated; the recorded
-            # firing count keeps climbing nowhere.  The watch list and
-            # the fused probe are rebuilt off the hot path, and the
-            # compiled listener is swapped in place (same slot, same
-            # idle hint) so a run already in flight sees the new set.
+            # firing count keeps climbing nowhere.  The plane
+            # regenerates its listener without it, swapped in place
+            # (same slot, same idle hint) so a run already in flight
+            # sees the new set.
             self._watches = [w for w in self._watches if w is not watch]
-            self._fused = _compile_fused(self._watches)
-            if self._listener is not None:
-                rebuilt = _compile_listener(self._watches, self)
-                self.tm.replace_cycle_listener(self._listener, rebuilt)
-                self._listener = rebuilt
+            self._plane.recompile()
         if self.on_violation is not None:
             self.on_violation(violation)
 

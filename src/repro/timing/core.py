@@ -123,6 +123,11 @@ class TimingStats:
         return self.drain_mispredict / self.cycles
 
 
+# The idle hint of a cycle listener that no idle span can wake: any
+# span is bounded by the run's cycle budget long before this.
+IDLE_HINT_UNBOUNDED = 1 << 40
+
+
 class DeadlockError(RuntimeError):
     """The pipeline stopped committing without being idle."""
 
@@ -316,7 +321,9 @@ class TimingModel(Module):
         engine takes the minimum across listeners when batching idle
         spans; registering without a hint disables idle fast-forward
         while this listener is subscribed (appending directly to
-        ``cycle_listeners`` behaves the same way).
+        ``cycle_listeners`` behaves the same way).  A listener that
+        never wakes on cycle count alone returns
+        :data:`IDLE_HINT_UNBOUNDED`.
         """
         # The registration primitive itself: the hint (if any) is
         # recorded just below.
@@ -329,8 +336,8 @@ class TimingModel(Module):
         and idle hint.
 
         For subscribers that compile their hook into a closure (the
-        invariant monitor's fused probe, compiled trigger queries) and
-        need to re-compile when their watch set changes mid-run.  The
+        observation plane, :mod:`repro.observability.plane`) and need
+        to re-compile when their subscriber set changes mid-run.  The
         compiled engine hoists ``cycle_listeners`` as a list object, so
         an in-place element swap is observed by a run already in
         flight.

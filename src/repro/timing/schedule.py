@@ -42,10 +42,11 @@ Invariant step hook
 
 The cycle-listener hook that runs after the per-cycle steps is the
 engines' invariant seam: the FastWatch monitor
-(:mod:`repro.observability.watch`) compiles every registered module
-invariant into one listener and subscribes it with an idle hint, so
-structural properties are checked after *every executed cycle* on both
-engines while idle spans still batch.  Invariant probes must go through
+(:mod:`repro.observability.watch`) fuses every registered module
+invariant into one guard on the observation plane
+(:mod:`repro.observability.plane`), whose single listener carries an
+idle hint, so structural properties are checked after *every executed
+cycle* on both engines while idle spans still batch.  Invariant probes must go through
 this hook -- never inside the fused step closures -- because listeners
 observe the post-step state of a fully-evaluated cycle on either
 engine, which is what keeps a violation's cycle number engine-
@@ -55,7 +56,7 @@ FastLint rule IV003) pins the loop to single-cycle stepping.
 
 The same seam is FastPulse's sampling point
 (:mod:`repro.observability.pulse`): the live-telemetry emitter
-registers here with a cadence-derived hint (``next due sample - cycle
+subscribes to the same plane with a cadence-derived hint (``next due sample - cycle
 - 1``), so idle spans batch up to the next sample boundary and a due
 sample always lands on a fully-evaluated cycle.  Because the wake
 cycle replays the whole per-cycle path on both engines, the set of

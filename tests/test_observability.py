@@ -283,7 +283,8 @@ class TestTriggers:
             return 1.0
 
         CompiledTriggerQuery(
-            sim.tm, "probe", probe, lambda v: False, single_step=True
+            sim.tm, "probe", probe, lambda v: False,
+            idle_hint=lambda cycle: 0,
         )
         sim.run(MAX_CYCLES)
         assert calls["n"] == sim.tm.cycle
@@ -538,3 +539,29 @@ class TestObservabilityCli:
         lines = out.read_text().splitlines()
         assert lines
         capsys.readouterr()
+
+
+class TestOverheadBench:
+    def test_per_class_geomeans(self, monkeypatch):
+        from types import SimpleNamespace
+
+        import repro.experiments.bench as bench
+
+        workloads = [SimpleNamespace(name=name)
+                     for name in ("164.gzip", "181.mcf", "linux-boot")]
+        scoped_cost = {"164.gzip": 1.21, "181.mcf": 1.0,
+                       "linux-boot": 1.0}
+        timing = boot_sim().tm.stats()
+
+        def fake_run(workload, engine, instrument=False, superblocks=True):
+            return timing, scoped_cost[workload.name] if instrument else 1.0
+
+        monkeypatch.setattr(bench, "_emit_bench_artifact",
+                            lambda *args, **kwargs: None)
+        monkeypatch.setattr(bench, "bench_workloads", lambda smoke: workloads)
+        monkeypatch.setattr(bench, "_time_run", fake_run)
+        report = bench.run_overhead_bench(smoke=True, reps=1)
+        assert report["geomean_overhead_busy"] == 1.1
+        assert report["geomean_overhead_idle_heavy"] == 1.0
+        assert report["geomean_overhead"] == round(1.21 ** (1 / 3), 3)
+        assert "1.10x busy, 1.00x idle-heavy" in bench.render_overhead(report)

@@ -1,8 +1,8 @@
 """FastPulse tests: deterministic footer byte-identity (same seed, both
 engines), idle fast-forward survival, non-perturbation, the liveness
 watchdog (and its stall -> capsule hook), sidecar readers (``repro top``,
-OpenMetrics), FastFlight adoption, the ST004 lint rule, oracle wedge
-classification and a genuinely-live second-process attach."""
+OpenMetrics), FastFlight adoption, oracle wedge classification and a
+genuinely-live second-process attach."""
 
 import functools
 import json
@@ -13,11 +13,11 @@ import time
 
 import pytest
 
-from repro.analysis.stat_rules import lint_stat_source
 from repro.experiments.harness import build_fast_simulator
 from repro.observability.pulse import (
     FOOTER_KIND,
     HEADER_KIND,
+    HEARTBEAT_KIND,
     SAMPLE_KIND,
     STATUS_DONE,
     STATUS_LIVE,
@@ -108,41 +108,41 @@ def test_pulse_does_not_perturb_timing_stats():
 
 
 def test_idle_hint_preserves_fast_forward():
-    # With the cadence hint the listener wakes only on busy cycles and
-    # due samples; hintless (single_step) registration is called on
-    # every executed cycle.  linux-boot idles through most of its
-    # cycles, so the hinted emitter must see far fewer calls.
+    # The cadence hint lets the compiled engine skip idle spans, so the
+    # observation plane runs only on busy cycles and due samples; the
+    # legacy engine runs it on every cycle.  linux-boot idles through
+    # most of its cycles, and both engines sample the same det stream.
     from repro.experiments.bench import _linux_boot
 
-    calls = {"hinted": 0, "single": 0}
-
-    class Counting(PulseEmitter):
-        def __init__(self, bucket, *args, **kwargs):
-            self._bucket = bucket
-            super().__init__(*args, **kwargs)
-
-        def _on_cycle(self, cycle):
-            calls[self._bucket] += 1
-            super()._on_cycle(cycle)
-
-    def boot(bucket, single_step):
+    def boot(engine):
         sim = build_fast_simulator(
             _linux_boot(sleep_ticks=20),
-            timing_config=TimingConfig(engine="compiled"),
+            timing_config=TimingConfig(engine=engine),
         )
-        Counting(bucket, sim.tm, feed=sim.feed, interval_cycles=50_000,
-                 single_step=single_step)
-        return sim.run(max_cycles=2_000_000)
+        emitter = PulseEmitter(sim.tm, feed=sim.feed, interval_cycles=50_000)
+        (plane,) = sim.tm.cycle_listeners
+        calls = {"n": 0}
 
-    result = boot("hinted", False)
-    assert result.timing.idle_cycles > 0
-    boot("single", True)
-    # Hintless registration pins single-cycle stepping: one call per
-    # executed cycle.  The cadence hint confines calls to busy cycles
-    # plus a handful of wake cycles at sample boundaries.
-    assert calls["single"] == result.timing.cycles
-    busy = result.timing.cycles - result.timing.idle_cycles
-    assert calls["hinted"] <= busy + 64
+        def counting(cycle):
+            calls["n"] += 1
+            plane(cycle)
+
+        sim.tm.replace_cycle_listener(plane, counting)
+        result = sim.run(max_cycles=2_000_000)
+        emitter.finalize()
+        records = map(json.loads, emitter.sidecar_text().splitlines())
+        det = [r["det"] for r in records
+               if r["kind"] not in (HEADER_KIND, HEARTBEAT_KIND)]
+        return result, calls["n"], det
+
+    compiled, compiled_calls, compiled_det = boot("compiled")
+    legacy, legacy_calls, legacy_det = boot("legacy")
+    assert compiled.timing.idle_cycles > 0
+    assert compiled.timing == legacy.timing
+    busy = compiled.timing.cycles - compiled.timing.idle_cycles
+    assert compiled_calls <= busy + 64
+    assert legacy_calls == legacy.timing.cycles
+    assert compiled_det == legacy_det
 
 
 # -- the liveness watchdog ---------------------------------------------------
@@ -361,28 +361,6 @@ def test_report_describe_has_telemetry_column(tmp_path):
     artifact = _emit(tmp_path, "runs")
     described = _describe(artifact)
     assert "pulse[" in described and "stalls=0" in described
-
-
-# -- FastLint ST004 ----------------------------------------------------------
-
-
-def test_st004_flags_single_step_emitters():
-    report = lint_stat_source(
-        "a = PulseEmitter(tm, single_step=True)\n"
-        "b = pulse.PulseEmitter(tm, single_step=flag)\n"
-    )
-    rules = [d.rule for d in report.diagnostics]
-    assert rules == ["ST004", "ST004"]
-
-
-def test_st004_quiet_on_hinted_or_suppressed():
-    report = lint_stat_source(
-        "a = PulseEmitter(tm)\n"
-        "b = PulseEmitter(tm, single_step=False)\n"
-        "c = PulseEmitter(tm, single_step=True)"
-        "  # fastlint: ignore[ST004]\n"
-    )
-    assert [d.rule for d in report.diagnostics] == []
 
 
 # -- fuzz-oracle wedge classification ----------------------------------------

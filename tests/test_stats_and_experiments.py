@@ -1,6 +1,8 @@
 """Statistics gathering (Figure 6 machinery, queries, power) and the
 experiment harness modules."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments import harness
@@ -15,9 +17,9 @@ from repro.experiments.bottleneck import (
 )
 from repro.fast import FastSimulator
 from repro.kernel import UserProgram
+from repro.observability import CompiledTriggerQuery
 from repro.timing.stats import (
     StatisticTraceSampler,
-    TriggerQuery,
     active_functional_units,
     estimate_power,
 )
@@ -41,9 +43,12 @@ spin:
 @pytest.fixture(scope="module")
 def sampled_sim():
     sim = FastSimulator.from_programs([PROGRAM])
-    sampler = StatisticTraceSampler(sim.tm, interval=200)
-    query = TriggerQuery(
-        sim.tm, active_functional_units, lambda v: v < 1, name="idle-fus"
+    tm = sim.tm
+    sampler = StatisticTraceSampler(tm, interval=200)
+    # The probe reads tm.cycle, so the query is evaluated every cycle.
+    query = CompiledTriggerQuery.below(
+        tm, "idle-fus", lambda: active_functional_units(tm), 1,
+        idle_hint=lambda cycle: 0,
     )
     sim.run()
     power = estimate_power(sim.tm)
@@ -79,11 +84,26 @@ class TestSampler:
 class TestTriggerQuery:
     def test_query_fires_edge_triggered(self, sampled_sim):
         _, _, query, _ = sampled_sim
-        assert len(query.events) > 0
+        assert len(query.firings) > 0
         # Edge triggering: consecutive events are not on adjacent cycles
         # unless re-armed in between (no duplicate spam).
-        cycles = [e.cycle for e in query.events]
+        cycles = [f.cycle for f in query.firings]
         assert len(cycles) == len(set(cycles))
+
+    def test_query_firing_cycles_pinned(self, sampled_sim):
+        # The exact firing history of the paper's example query on this
+        # program, as the original hintless per-cycle query recorded it.
+        _, _, query, _ = sampled_sim
+        cycles = [f.cycle for f in query.firings]
+        assert len(cycles) == 308
+        assert cycles[:12] == [1, 39, 86, 3686, 3693, 3705, 3739, 3747,
+                               3755, 3763, 3771, 3781]
+        assert cycles[-3:] == [22459, 22471, 22492]
+        assert hashlib.sha256(repr(cycles).encode()).hexdigest() == (
+            "be839db6db167617254728767f558b56"
+            "43c39b5c1dd111ab2476450a48fbcf90"
+        )
+        assert {f.value for f in query.firings} == {0.0}
 
 
 class TestPower:
