@@ -280,8 +280,8 @@ def run_cell(source: str, base: int, cell: OracleCell,
         from repro.observability.pulse import LivenessWatchdog, PulseEmitter
 
         watchdog = LivenessWatchdog(no_commit_cycles=config.stall_cycles)
-        # In-memory emitter (path=None): the watchdog needs the sampled
-        # det stream, not a sidecar file, and the cadence hint keeps
+        # In-memory emitter (path=None): the watchdog needs the due
+        # samples, not a sidecar file, and the cadence hint keeps
         # idle fast-forward in the compiled cells.
         PulseEmitter(
             tm,

@@ -27,8 +27,8 @@ the Python runtime:
   :mod:`repro.observability.flight.capsule`);
 * :class:`PulseEmitter` -- the FastPulse live telemetry: an
   idle-hinted subscriber that snapshots progress every N cycles into
-  an append-only ``pulse.jsonl`` sidecar (deterministic fields
-  split from host-timing fields), with a :class:`LivenessWatchdog`
+  an append-only ``pulse.jsonl`` sidecar (host-timing fields kept in
+  each record's ``host`` object), with a :class:`LivenessWatchdog`
   classifying no-progress stalls while out-of-process readers
   (``python -m repro top``, the OpenMetrics exporter) tail the stream;
 * :class:`FastScope` -- the facade wiring all of the above onto a
@@ -38,7 +38,9 @@ Every per-cycle observer above subscribes to one
 :class:`~repro.observability.plane.ObservationPlane` per timing model:
 each hands it a guard expression, a cold-path method and an idle hint,
 and the plane compiles them into a single generated cycle listener
-with one folded idle hint.
+with one folded idle hint.  Every deterministic stream they write
+(trace, pulse sidecar, capsule window and events) shares one record
+format, footer, hash rule and reader: :mod:`repro.observability.events`.
 
 Exposed on the command line as ``python -m repro stats``,
 ``python -m repro trace``, ``python -m repro debug``,

@@ -226,19 +226,19 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     sim, scope = _scoped_run(args, profile=False)
     # The footer makes drops visible to downstream consumers of the
     # JSONL itself, not just readers of this stdout summary.
-    count = scope.write_trace(args.out, footer=True)
-    summary = scope.tracer.summary()
+    count = scope.write_trace(args.out)
+    footer = scope.tracer.footer()
     print(
-        "wrote %s: %d records + summary footer (%d emitted, %d dropped)"
-        % (args.out, count, summary["recorded"], summary["dropped"])
+        "wrote %s: %d records + footer (%d emitted, %d dropped)"
+        % (args.out, count, footer["recorded"], footer["dropped"])
     )
-    if summary["dropped"]:
+    if footer["dropped"]:
         print(
             "  WARNING: event ring overflowed; %d oldest events are "
             "missing from the JSONL (the footer records the gap)"
-            % summary["dropped"]
+            % footer["dropped"]
         )
-    for kind, total in summary["kinds"].items():
+    for kind, total in footer["kinds"].items():
         print("  %-32s %d" % (kind, total))
     if args.artifact:
         _emit_artifact(args, sim, scope, profile=False)

@@ -1,18 +1,34 @@
-"""Structured, cycle-stamped event tracing for the FM/TM seam.
+"""The one record format, and cycle-stamped event tracing of the FM/TM seam.
+
+Every deterministic JSONL stream the observability layer writes -- the
+seam trace, the FastPulse sidecar, a debug capsule's window rows and
+events -- uses the layout this module owns:
+
+* **Records.**  One line per record: ``{"kind", "seq", ...fields}``,
+  plus at most one ``host`` object for volatile host-side fields
+  (timestamps, wall seconds, rates).
+* **Encoding.**  :func:`canonical_line`: sorted keys, compact
+  separators, so same-seed streams are byte-identical.
+* **Hash rule.**  A stream's hash is a rolling SHA-256 over the
+  canonical lines of its hashed records with ``seq`` and ``host``
+  removed (:class:`RollingHash`); :func:`rolling_digests` exposes the
+  prefix digests for first-divergence bisection.
+* **Footer.**  Every stream ends with one ``kind: "footer"`` record
+  (:func:`footer`): the ``stream`` name, recorded/retained/dropped
+  counts, exact per-kind totals, the ``hash`` over the retained hashed
+  records, and any fields one stream adds.
+* **Reader.**  :func:`read_stream` returns the records and the footer
+  and stops quietly at a torn last line (live tails end mid-record).
 
 The interesting behaviour of a FAST simulator is concentrated at the
 functional/timing boundary: mispredict ``set_pc`` round trips, wrong-
 path resolution, rollback replays, interrupt deliveries, checkpoint
 creation, trace-buffer high-water marks.  :class:`EventTracer` records
-those as structured events in a bounded ring buffer and serializes them
-as JSONL.
-
-Determinism is a hard requirement (it is what makes traces diffable
-across runs): records carry only target-deterministic fields -- the
-timing model's cycle at emit time, a monotonic sequence number, the
-event kind and its payload.  No wall-clock, no ids, no addresses of
-host objects.  Serialization uses sorted keys and compact separators so
-two same-seed runs produce *byte-identical* output.
+those in a bounded ring buffer.  Records carry only target-deterministic
+fields -- the timing model's cycle at emit time, a monotonic sequence
+number, the event kind and its payload.  No wall-clock, no ids, no
+addresses of host objects.  ``emit()`` does no serialisation or
+hashing; the footer hash is computed once, when the footer is written.
 
 Tracing is read-only with respect to the simulation: emitting an event
 never touches FM or TM state, so ``TimingStats`` are bit-identical with
@@ -21,24 +37,114 @@ tracing enabled or disabled.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 DEFAULT_CAPACITY = 65536
+
+FOOTER_KIND = "footer"
 
 
 def canonical_line(obj) -> str:
     """Sorted-key, compact JSON on one line: the byte-stable encoding
-    every deterministic record uses (tracer, pulse, capsules, run
-    artifacts)."""
+    every deterministic record uses (streams and run artifacts)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def jsonl(records) -> str:
     """Canonical lines, each newline-terminated ("" for no records)."""
     return "".join(canonical_line(record) + "\n" for record in records)
+
+
+def hashed_view(record: dict) -> dict:
+    """What the hash rule sees of *record*: everything but ``seq`` and
+    ``host``."""
+    return {k: v for k, v in record.items() if k not in ("seq", "host")}
+
+
+class RollingHash:
+    """The one stream hash: SHA-256 over the newline-terminated
+    canonical lines of :func:`hashed_view` of each hashed record."""
+
+    def __init__(self):
+        self._sha = hashlib.sha256()
+
+    def update(self, record: dict) -> None:
+        self._sha.update(canonical_line(hashed_view(record)).encode("utf-8"))
+        self._sha.update(b"\n")
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+def stream_hash(records: Iterable[dict]) -> str:
+    rolling = RollingHash()
+    for record in records:
+        rolling.update(record)
+    return rolling.hexdigest()
+
+
+def rolling_digests(records: Iterable[dict]) -> List[str]:
+    """``digests[i]`` is the stream hash of the first *i* records."""
+    rolling = RollingHash()
+    digests = [rolling.hexdigest()]
+    for record in records:
+        rolling.update(record)
+        digests.append(rolling.hexdigest())
+    return digests
+
+
+def footer(stream: str, recorded: int, kinds: Dict[str, int], digest: str,
+           dropped: int = 0, **fields) -> dict:
+    """The footer record every stream ends with.  *recorded* counts the
+    hashed records the stream produced, *dropped* those no longer
+    covered by *digest* (ring overflow); *kinds* are exact per-kind
+    totals of the recorded records; *fields* are stream-specific."""
+    record = dict(fields)
+    record.update({
+        "kind": FOOTER_KIND,
+        "stream": stream,
+        "recorded": recorded,
+        "retained": recorded - dropped,
+        "dropped": dropped,
+        "kinds": dict(sorted(kinds.items())),
+        "hash": digest,
+    })
+    return record
+
+
+def stream_jsonl(stream: str, records: List[dict]) -> str:
+    """A complete stream (every record hashed, none dropped) with its
+    footer, as JSONL text."""
+    kinds = Counter(record["kind"] for record in records)
+    return jsonl(records + [footer(stream, len(records), kinds,
+                                   stream_hash(records))])
+
+
+def read_stream(path: str) -> Tuple[List[dict], Optional[dict]]:
+    """``(records, footer)`` of one JSONL stream; the footer is None when
+    the stream never finished.  A torn (mid-write) last line ends the
+    read quietly."""
+    records: List[dict] = []
+    last_footer = None
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                break
+            if record.get("kind") == FOOTER_KIND:
+                last_footer = record
+            else:
+                records.append(record)
+    return records, last_footer
 
 
 @dataclass(frozen=True)
@@ -100,43 +206,26 @@ class EventTracer:
         return list(self._ring)
 
     def footer(self) -> dict:
-        """The gap-detection summary record appended to JSONL output:
-        whole-run recorded/dropped counts and exact per-kind totals,
-        which survive ring overflow even when the events themselves
-        were dropped.  Target-deterministic, like every record."""
-        return {
-            "kind": "trace_summary",
-            "recorded": self.seq,
-            "retained": len(self._ring),
-            "dropped": self.dropped,
-            "kinds": dict(sorted(self.kind_counts.items())),
-        }
+        """The footer of the trace stream: whole-run recorded/dropped
+        counts and exact per-kind totals (which survive ring overflow
+        even when the events themselves were dropped), and the hash of
+        the retained ring."""
+        records = (event.to_dict() for event in self._ring)
+        return footer("trace", self.seq, self.kind_counts,
+                      stream_hash(records), dropped=self.dropped)
 
-    def to_jsonl(self, footer: bool = False) -> str:
-        """Byte-reproducible JSONL: one sorted-key compact record per
-        line, trailing newline if nonempty.  With *footer*, a final
-        ``trace_summary`` record carries the whole-run drop accounting
-        so consumers can detect ring-overflow gaps."""
+    def to_jsonl(self) -> str:
+        """Byte-reproducible JSONL: the retained ring, one canonical
+        record per line, then the footer."""
         records = [event.to_dict() for event in self._ring]
-        if footer:
-            records.append(self.footer())
-        return jsonl(records)
+        return jsonl(records + [self.footer()])
 
-    def write_jsonl(self, path: str, footer: bool = False) -> int:
-        """Write the ring to *path*; returns the number of records."""
-        text = self.to_jsonl(footer=footer)
+    def write_jsonl(self, path: str) -> int:
+        """Write the stream to *path*; returns the number of events."""
+        text = self.to_jsonl()
         with open(path, "w") as fh:
             fh.write(text)
         return len(self._ring)
-
-    def summary(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "recorded": self.seq,
-            "retained": len(self._ring),
-            "dropped": self.dropped,
-            "kinds": dict(sorted(self.kind_counts.items())),
-        }
 
 
 class _FunctionalObserver:

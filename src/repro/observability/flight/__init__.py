@@ -6,10 +6,12 @@ post-run analysis -- attributing lost cycles to rollbacks, interrupts
 and trace-buffer starvation (section 6) -- and that analysis needs runs
 that survive the process that produced them:
 
-* :mod:`repro.observability.flight.artifact` -- content-addressed,
-  self-describing ``results/runs/<id>/`` directories holding the run
-  manifest, the final stats snapshot, the fabric window series, the
-  seam event trace and (optionally) the tick-time profile;
+* :mod:`repro.observability.flight.artifact` -- the one
+  content-addressed artifact store: self-describing
+  ``results/runs/<id>/`` directories of any kind (``run`` or
+  ``capsule``) holding the manifest, the final stats snapshot, the
+  fabric window series, the seam event stream and (optionally) the
+  tick-time profile, with one id scheme, loader and verifier;
 * :mod:`repro.observability.flight.columns` -- a small columnar table
   the offline queries run over (no external dependencies);
 * :mod:`repro.observability.flight.analytics` -- the offline query
@@ -20,9 +22,9 @@ that survive the process that produced them:
   files, and event-stream bisection to the first diverging event when
   two supposedly deterministic runs disagree;
 * :mod:`repro.observability.flight.capsule` -- time-travel debug
-  capsules: content-addressed captures of a re-executed window around
-  an invariant violation or watchpoint (FastWatch), with cycle-by-cycle
-  diffing and first-divergence search.
+  capsules: ``kind: "capsule"`` artifacts capturing a re-executed
+  window around an invariant violation or watchpoint (FastWatch), with
+  cycle-by-cycle diffing and first-divergence search.
 
 Exposed on the command line as ``python -m repro report`` and
 ``python -m repro debug``.
@@ -39,14 +41,14 @@ from repro.observability.flight.artifact import (
     emit_artifact,
     list_artifacts,
     load_artifact,
+    verify_artifact,
 )
 from repro.observability.flight.capsule import (
-    CapsuleArtifact,
+    Capsule,
+    as_capsule,
     diff_capsules,
     emit_capsule,
     find_capsules,
-    list_capsules,
-    load_capsule,
 )
 from repro.observability.flight.columns import ColumnTable
 from repro.observability.flight.regression import (
@@ -58,11 +60,12 @@ from repro.observability.flight.regression import (
 )
 
 __all__ = [
-    "CapsuleArtifact",
+    "Capsule",
     "ColumnTable",
     "Divergence",
     "RegressionReport",
     "RunArtifact",
+    "as_capsule",
     "bisect_divergence",
     "compare_against_bench",
     "compare_runs",
@@ -73,9 +76,8 @@ __all__ = [
     "find_capsules",
     "flame_stacks",
     "list_artifacts",
-    "list_capsules",
     "load_artifact",
-    "load_capsule",
     "seam_attribution",
+    "verify_artifact",
     "window_timeline",
 ]

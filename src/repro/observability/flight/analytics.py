@@ -19,7 +19,7 @@ without re-running anything:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.observability.flight.artifact import RunArtifact
 from repro.observability.flight.columns import ColumnTable
@@ -75,9 +75,9 @@ def events_table(artifact: RunArtifact) -> ColumnTable:
 def _event_kind_counts(artifact: RunArtifact) -> Dict[str, int]:
     """Whole-run per-kind totals: prefer the trace footer (counts survive
     ring overflow), fall back to the retained records."""
-    summary = artifact.trace_summary()
-    if summary is not None and isinstance(summary.get("kinds"), dict):
-        return {str(k): int(v) for k, v in summary["kinds"].items()}
+    footer = artifact.footer("trace")
+    if footer is not None and isinstance(footer.get("kinds"), dict):
+        return {str(k): int(v) for k, v in footer["kinds"].items()}
     counts: Dict[str, int] = {}
     for event in artifact.events():
         kind = str(event.get("kind", ""))

@@ -1,32 +1,38 @@
-"""RunArtifact: the persistent, content-addressed record of one run.
+"""RunArtifact: the one persistent, content-addressed artifact store.
 
 Every run worth analyzing later -- a bench timing, a
-``run_fast_workload`` call, a fig/table experiment -- writes one
-directory under ``results/runs/<id>/``::
+``run_fast_workload`` call, a fig/table experiment, a FastWatch debug
+capsule -- writes one directory under ``results/runs/<id>/``::
 
-    manifest.json   identity (experiment, workload, config), file hashes,
-                    and the *volatile* host section (wall seconds,
-                    cycles/sec) kept outside the content hash
+    manifest.json   identity (kind, experiment, workload, config, extra),
+                    file hashes, and the *volatile* host section (wall
+                    seconds, cycles/sec, engine) kept outside the hash
     stats.json      final TimingStats / FunctionalStats / ProtocolStats
     windows.json    StatsFabric window series        (scoped runs only)
-    trace.jsonl     seam event ring + summary footer (scoped runs only)
+    trace.jsonl     seam event stream + footer       (scoped runs only)
     profile.json    TickProfiler samples             (profiled runs only)
     pulse.jsonl     FastPulse live-telemetry sidecar (pulse-armed runs)
     output.txt      rendered experiment text         (experiments only)
 
-Content addressing is the determinism contract made durable: the id is
-a hash over the *target-deterministic* payload (stats, windows, trace,
-output) plus the identity fields, so two same-seed runs produce
-artifacts with the same content hash, and a hash mismatch between two
-"identical" runs is itself a regression signal.  Host wall-time lives
-only in the manifest's ``host`` section and never enters the hash.
+A ``kind: "capsule"`` artifact carries ``capsule.json``,
+``window.jsonl`` and ``events.jsonl`` instead (see
+:mod:`repro.observability.flight.capsule`).  Every kind goes through
+:func:`write_artifact`: one id scheme, one load-by-prefix, one
+:func:`verify_artifact`.  The JSONL files use the one record format and
+footer of :mod:`repro.observability.events`.
 
-``pulse.jsonl`` interleaves heartbeat timestamps with deterministic
-progress samples, so -- like ``profile.json`` -- its bytes stay outside
-the content hash; the *deterministic footer* of the stream (sample
-count, rolling det hash, stall count) is folded into the hashed
-identity as ``extra["pulse_footer"]`` instead, making live-telemetry
-divergence between two same-seed runs a content-hash mismatch.
+Content addressing is the determinism contract made durable: the id is
+a hash over the manifest's identity fields plus the hashes of every
+payload file except the host-wall-time ones (``profile.json``,
+``pulse.jsonl``), so two same-seed runs produce artifacts with the same
+content hash, and a hash mismatch between two "identical" runs is
+itself a regression signal.
+
+``pulse.jsonl`` interleaves heartbeats with deterministic samples, so
+its bytes stay outside the content hash; its footer, minus ``seq`` and
+``host``, is folded into the hashed identity as
+``extra["pulse_footer"]`` instead, making live-telemetry divergence
+between two same-seed runs a content-hash mismatch.
 
 Nothing here reads a clock: artifacts carry no timestamps (content
 addressing makes them unnecessary, and the determinism lint would
@@ -40,12 +46,17 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.observability.events import canonical_line
+from repro.observability.events import (
+    canonical_line,
+    hashed_view,
+    read_stream,
+)
 
 SCHEMA_VERSION = 1
 DEFAULT_ROOT = os.path.join("results", "runs")
+RUN_KIND = "run"
 
 MANIFEST_NAME = "manifest.json"
 STATS_NAME = "stats.json"
@@ -55,14 +66,13 @@ PROFILE_NAME = "profile.json"
 PULSE_NAME = "pulse.jsonl"
 OUTPUT_NAME = "output.txt"
 
-# Payload files whose bytes enter the content hash.  profile.json and
-# pulse.jsonl carry host-wall-time samples and are deliberately
-# excluded, like the manifest's host section (pulse determinism enters
-# the hash through extra["pulse_footer"] instead).
-HASHED_FILES = (STATS_NAME, WINDOWS_NAME, TRACE_NAME, OUTPUT_NAME)
+# Payload files kept out of the content hash: both carry host wall time
+# (pulse determinism enters the hash through extra["pulse_footer"]).
+UNHASHED_FILES = (PROFILE_NAME, PULSE_NAME)
 
-TRACE_FOOTER_KIND = "trace_summary"
-PULSE_FOOTER_KIND = "pulse_footer"
+# The manifest fields the content hash covers, besides the file hashes.
+IDENTITY_KEYS = ("schema", "kind", "experiment", "workload", "config",
+                 "extra")
 
 
 def canonical_json(obj: Any) -> str:
@@ -108,6 +118,10 @@ class RunArtifact:
         return str(self.manifest.get("content_hash", ""))
 
     @property
+    def kind(self) -> str:
+        return str(self.manifest.get("kind", RUN_KIND))
+
+    @property
     def experiment(self) -> str:
         return str(self.manifest.get("experiment", ""))
 
@@ -118,6 +132,10 @@ class RunArtifact:
     @property
     def config(self) -> Dict[str, Any]:
         return dict(self.manifest.get("config", {}))
+
+    @property
+    def extra(self) -> Dict[str, Any]:
+        return dict(self.manifest.get("extra", {}))
 
     @property
     def host(self) -> Dict[str, Any]:
@@ -135,6 +153,11 @@ class RunArtifact:
             return None
         with open(path) as fh:
             return json.load(fh)
+
+    def _stream(self, name: str) -> Tuple[List[Dict[str, Any]],
+                                          Optional[Dict[str, Any]]]:
+        path = self._file(name)
+        return read_stream(path) if path is not None else ([], None)
 
     def stats(self) -> Dict[str, Any]:
         if self._stats is None:
@@ -159,65 +182,23 @@ class RunArtifact:
             return fh.read()
 
     def events(self) -> List[Dict[str, Any]]:
-        """Parsed seam-event records (the summary footer excluded)."""
-        path = self._file(TRACE_NAME)
-        if path is None:
-            return []
-        records = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("kind") != TRACE_FOOTER_KIND:
-                    records.append(record)
-        return records
+        """Parsed seam-event records (the footer excluded)."""
+        return self._stream(TRACE_NAME)[0]
 
-    def trace_summary(self) -> Optional[Dict[str, Any]]:
-        """The whole-run trace footer (recorded/dropped/per-kind totals),
-        if the artifact carries a trace."""
-        path = self._file(TRACE_NAME)
-        if path is None:
-            return None
-        last = None
-        with open(path) as fh:
-            for line in fh:
-                if line.strip():
-                    last = line
-        if last is None:
-            return None
-        record = json.loads(last)
-        return record if record.get("kind") == TRACE_FOOTER_KIND else None
+    def footer(self, stream: str) -> Optional[Dict[str, Any]]:
+        """The footer of the artifact's ``<stream>.jsonl`` (``trace``,
+        ``pulse``, ...), or else its hashed ``extra["<stream>_footer"]``
+        copy; None when neither exists."""
+        found = self._stream(stream + ".jsonl")[1]
+        if found is None:
+            found = self.extra.get(stream + "_footer")
+        return found
 
     def has_trace(self) -> bool:
         return self._file(TRACE_NAME) is not None
 
     def has_pulse(self) -> bool:
         return self._file(PULSE_NAME) is not None
-
-    def pulse_summary(self) -> Optional[Dict[str, Any]]:
-        """The FastPulse footer record (``det`` + ``host`` sections)
-        when the artifact adopted a live-telemetry sidecar; falls back
-        to the hashed ``extra["pulse_footer"]`` identity copy."""
-        path = self._file(PULSE_NAME)
-        if path is not None:
-            last = None
-            with open(path) as fh:
-                for line in fh:
-                    if line.strip():
-                        last = line
-            if last is not None:
-                try:
-                    record = json.loads(last)
-                except ValueError:
-                    record = None
-                if record and record.get("kind") == PULSE_FOOTER_KIND:
-                    return record
-        footer = self.manifest.get("extra", {}).get("pulse_footer")
-        if footer:
-            return {"kind": PULSE_FOOTER_KIND, "det": footer, "host": {}}
-        return None
 
 
 # -- hashing ---------------------------------------------------------------
@@ -227,33 +208,73 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _content_hash(identity: Dict[str, Any],
-                  file_hashes: Dict[str, str]) -> str:
-    body = dict(identity)
-    body["files"] = dict(sorted(file_hashes.items()))
+def _content_hash(manifest: Dict[str, Any]) -> str:
+    """The one identity rule: the identity fields the manifest carries
+    plus its non-empty payload file hashes."""
+    body = {key: manifest[key] for key in IDENTITY_KEYS if key in manifest}
+    body["files"] = {
+        name: value
+        for name, value in sorted(manifest.get("files", {}).items())
+        if value
+    }
     return _sha256_text(canonical_json(body))
 
 
 # -- emission --------------------------------------------------------------
 
 
-def _pulse_footer_from_text(text: str) -> Optional[Dict[str, Any]]:
-    """The deterministic footer section of a pulse sidecar's text, or
-    None when the stream never finalized (crash mid-run)."""
-    last = None
-    for line in text.splitlines():
-        if line.strip():
-            last = line
-    if last is None:
-        return None
-    try:
-        record = json.loads(last)
-    except ValueError:
-        return None
-    if record.get("kind") != PULSE_FOOTER_KIND:
-        return None
-    det = record.get("det")
-    return det if isinstance(det, dict) else None
+def write_artifact(
+    kind: str,
+    experiment: str,
+    workload: Optional[str],
+    config: Dict[str, Any],
+    extra: Dict[str, Any],
+    files: Dict[str, str],
+    host: Optional[Dict[str, Any]],
+    root: str,
+) -> RunArtifact:
+    """Store one artifact of any *kind*: hash the payload *files* (name
+    -> text), derive the content-addressed id, write the directory and
+    return it loaded."""
+    manifest: Dict[str, Any] = {
+        "schema": SCHEMA_VERSION,
+        "kind": kind,
+        "experiment": experiment,
+        "workload": workload,
+        "config": config,
+        "extra": extra,
+    }
+    manifest["files"] = {
+        name: "" if name in UNHASHED_FILES else _sha256_text(text)
+        for name, text in sorted(files.items())
+    }
+    content_hash = _content_hash(manifest)
+
+    base_id = "%s-%s" % (_slug(experiment), content_hash[:12])
+    if workload:
+        base_id = "%s-%s-%s" % (
+            _slug(experiment), _slug(workload), content_hash[:12]
+        )
+    os.makedirs(root, exist_ok=True)
+    run_id = base_id
+    serial = 1
+    while os.path.exists(os.path.join(root, run_id)):
+        # Same-content re-runs are kept side by side (the "two same-seed
+        # artifacts diff clean" workflow needs both on disk).
+        serial += 1
+        run_id = "%s.%d" % (base_id, serial)
+    path = os.path.join(root, run_id)
+    os.makedirs(path)
+
+    manifest["run_id"] = run_id
+    manifest["content_hash"] = content_hash
+    manifest["host"] = dict(host or {})
+    for name, text in files.items():
+        with open(os.path.join(path, name), "w") as fh:
+            fh.write(text)
+    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return RunArtifact(path=path, manifest=manifest)
 
 
 def emit_artifact(
@@ -275,16 +296,16 @@ def emit_artifact(
     anything with ``timing``/``functional``/``protocol`` attributes);
     *timing* alone is accepted for stats-only artifacts.  *scope* is a
     :class:`~repro.observability.scope.FastScope`, contributing the
-    window series, the seam trace (with summary footer) and, when the
-    profiler ran, the tick profile.  *host* is the volatile section
-    (wall seconds, cycles/sec) -- recorded, never hashed.
+    window series, the seam trace stream and, when the profiler ran,
+    the tick profile.  *host* is the volatile section (wall seconds,
+    cycles/sec) -- recorded, never hashed.
 
     *pulse* adopts a FastPulse sidecar: either a live
     :class:`~repro.observability.pulse.PulseEmitter` (finalized here) or
     a path to an existing ``pulse.jsonl``.  The sidecar bytes land
-    unhashed (they interleave host timestamps); the deterministic footer
-    is folded into ``extra["pulse_footer"]`` so it enters the content
-    hash.
+    unhashed (they interleave host timestamps); its footer, minus
+    ``seq`` and ``host``, is folded into ``extra["pulse_footer"]`` so it
+    enters the content hash.
     """
     files: Dict[str, str] = {}  # name -> file text
     stats: Dict[str, Any] = {}
@@ -301,85 +322,49 @@ def emit_artifact(
     if scope is not None:
         scope.finalize()
         files[WINDOWS_NAME] = canonical_json(scope.fabric.report())
-        files[TRACE_NAME] = scope.tracer.to_jsonl(footer=True)
+        files[TRACE_NAME] = scope.tracer.to_jsonl()
         if scope.profiler is not None:
             files[PROFILE_NAME] = canonical_json(scope.profiler.report())
     if output is not None:
         files[OUTPUT_NAME] = output if output.endswith("\n") else output + "\n"
 
+    extra = dict(_plain(extra) or {})
     if pulse is None and scope is not None:
         pulse = getattr(scope, "pulse", None)
-    pulse_footer: Optional[Dict[str, Any]] = None
     if pulse is not None:
         if isinstance(pulse, str):
             with open(pulse) as fh:
-                pulse_text = fh.read()
+                files[PULSE_NAME] = fh.read()
+            pulse_footer = read_stream(pulse)[1]
         else:
-            pulse.finalize()
-            pulse_text = pulse.sidecar_text()
-        files[PULSE_NAME] = pulse_text
-        pulse_footer = _pulse_footer_from_text(pulse_text)
-
-    identity: Dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "experiment": experiment,
-        "workload": workload,
-        "config": _plain(config) or {},
-        "extra": _plain(extra) or {},
-    }
-    if pulse_footer is not None:
-        identity["extra"] = dict(identity["extra"])
-        identity["extra"]["pulse_footer"] = pulse_footer
-    file_hashes = {
-        name: _sha256_text(text)
-        for name, text in files.items()
-        if name in HASHED_FILES
-    }
-    content_hash = _content_hash(identity, file_hashes)
-
-    base_id = "%s-%s" % (_slug(experiment), content_hash[:12])
-    if workload:
-        base_id = "%s-%s-%s" % (
-            _slug(experiment), _slug(workload), content_hash[:12]
-        )
-    os.makedirs(root, exist_ok=True)
-    run_id = base_id
-    serial = 1
-    while os.path.exists(os.path.join(root, run_id)):
-        # Same-content re-runs are kept side by side (the "two same-seed
-        # artifacts diff clean" workflow needs both on disk).
-        serial += 1
-        run_id = "%s.%d" % (base_id, serial)
-    path = os.path.join(root, run_id)
-    os.makedirs(path)
-
-    manifest: Dict[str, Any] = dict(identity)
-    manifest["run_id"] = run_id
-    manifest["content_hash"] = content_hash
-    manifest["files"] = {
-        name: file_hashes.get(name, "") for name in sorted(files)
-    }
-    manifest["host"] = dict(host or {})
-
-    for name, text in files.items():
-        with open(os.path.join(path, name), "w") as fh:
-            fh.write(text)
-    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return RunArtifact(path=path, manifest=manifest)
+            pulse_footer = pulse.finalize()
+            files[PULSE_NAME] = pulse.sidecar_text()
+        if pulse_footer is not None:
+            extra["pulse_footer"] = hashed_view(pulse_footer)
+    return write_artifact(RUN_KIND, experiment, workload,
+                          _plain(config) or {}, extra, files, host, root)
 
 
 # -- loading ---------------------------------------------------------------
 
 
-def list_artifacts(root: str = DEFAULT_ROOT) -> List[str]:
-    """Run ids under *root*, sorted (name order; ids are content-based)."""
+def _read_manifest(path: str) -> Dict[str, Any]:
+    with open(os.path.join(path, MANIFEST_NAME)) as fh:
+        return json.load(fh)
+
+
+def list_artifacts(root: str = DEFAULT_ROOT,
+                   kind: Optional[str] = None) -> List[str]:
+    """Artifact ids under *root*, sorted (name order; ids are
+    content-based); with *kind*, only artifacts of that kind."""
     if not os.path.isdir(root):
         return []
     return sorted(
         name
         for name in os.listdir(root)
         if os.path.exists(os.path.join(root, name, MANIFEST_NAME))
+        and (kind is None or _read_manifest(os.path.join(root, name))
+             .get("kind", RUN_KIND) == kind)
     )
 
 
@@ -408,9 +393,7 @@ def load_artifact(ref: str, root: str = DEFAULT_ROOT) -> RunArtifact:
             % (ref, root)
         )
     path = candidates[0]
-    with open(os.path.join(path, MANIFEST_NAME)) as fh:
-        manifest = json.load(fh)
-    return RunArtifact(path=path, manifest=manifest)
+    return RunArtifact(path=path, manifest=_read_manifest(path))
 
 
 def verify_artifact(artifact: RunArtifact) -> List[str]:
@@ -423,7 +406,7 @@ def verify_artifact(artifact: RunArtifact) -> List[str]:
         if not os.path.exists(path):
             problems.append("missing payload file %s" % name)
             continue
-        if name not in HASHED_FILES or not want:
+        if not want:
             continue
         with open(path) as fh:
             got = _sha256_text(fh.read())
@@ -432,15 +415,6 @@ def verify_artifact(artifact: RunArtifact) -> List[str]:
                 "hash mismatch on %s: manifest %s.., file %s.."
                 % (name, want[:12], got[:12])
             )
-    identity = {
-        key: artifact.manifest.get(key)
-        for key in ("schema", "experiment", "workload", "config", "extra")
-    }
-    hashes = {
-        name: value
-        for name, value in recorded.items()
-        if name in HASHED_FILES and value
-    }
-    if _content_hash(identity, hashes) != artifact.content_hash:
+    if _content_hash(artifact.manifest) != artifact.content_hash:
         problems.append("content hash does not match manifest identity")
     return problems

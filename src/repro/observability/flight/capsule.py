@@ -1,95 +1,71 @@
-"""Debug capsules: content-addressed time-travel captures.
+"""Debug capsules: time-travel captures stored as run artifacts.
 
-A capsule is a new FastFlight artifact kind: the maximum-detail record
-of one re-executed window ``[C-delta, C+delta]`` around a cycle of
-interest -- an invariant violation, an armed watchpoint, or the first-
-diverging event of a regression bisection.  It lives alongside run
-artifacts under ``results/runs/<id>/`` so the existing listing and
-upload machinery see it::
+A capsule is the maximum-detail record of one re-executed window
+``[C-delta, C+delta]`` around a cycle of interest -- an invariant
+violation, an armed watchpoint, or the first-diverging event of a
+regression bisection.  It is a ``kind: "capsule"`` artifact in the one
+artifact store (:mod:`repro.observability.flight.artifact`), so it
+shares the run artifacts' id scheme, load-by-prefix, listing and
+:func:`~repro.observability.flight.artifact.verify_artifact`::
 
-    manifest.json   identity, file hashes, volatile host section
-                    (engine, wall seconds) kept outside the hash
+    manifest.json   identity: kind "capsule", experiment
+                    "capsule-<label>", workload, and extra = reason,
+                    violation, window, source run; the volatile host
+                    section (engine) is kept outside the hash
     capsule.json    window summary, violation record, baseline stats
-    window.jsonl    one per-tick capture row per line
-    events.jsonl    the window's seam events (unbounded tracer)
+    window.jsonl    one per-tick capture row per record, then the footer
+    events.jsonl    the window's seam events (unbounded tracer), footer
     profile.json    TickProfiler rows        (compiled engine only)
 
-Content addressing follows the run-artifact contract: the id hashes
-the *target-deterministic* payload (capsule.json, window.jsonl,
-events.jsonl) plus the identity fields.  The identity deliberately
-excludes the tick engine and the profile -- both engines visit
-bit-identical per-cycle state, so a same-seed capture under ``legacy``
-and ``compiled`` produces byte-identical hashed payloads and therefore
-the same content hash.  That property is pinned by tests and is what
-makes a capsule a trustworthy record rather than a screenshot.
+The identity deliberately excludes the tick engine and the profile --
+both engines visit bit-identical per-cycle state, so a same-seed
+capture under ``legacy`` and ``compiled`` produces byte-identical
+hashed payloads and therefore the same content hash.  That property is
+pinned by tests and is what makes a capsule a trustworthy record rather
+than a screenshot.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.observability.events import jsonl
+from repro.observability.events import stream_jsonl
 from repro.observability.flight.artifact import (
     DEFAULT_ROOT,
-    MANIFEST_NAME,
     PROFILE_NAME,
+    SCHEMA_VERSION,
     ArtifactError,
-    _content_hash,
-    _sha256_text,
-    _slug,
+    RunArtifact,
     canonical_json,
+    list_artifacts,
+    load_artifact,
+    write_artifact,
 )
 
-CAPSULE_SCHEMA_VERSION = 1
 CAPSULE_KIND = "capsule"
-CAPSULE_PREFIX = "capsule"
 
 CAPSULE_NAME = "capsule.json"
 WINDOW_NAME = "window.jsonl"
 EVENTS_NAME = "events.jsonl"
 
-# Payload files whose bytes enter the content hash.  profile.json is
-# host wall-time and engine-specific; it rides along unhashed.
-CAPSULE_HASHED_FILES = (CAPSULE_NAME, WINDOW_NAME, EVENTS_NAME)
+TICK_KIND = "tick"
 
 
-@dataclass
-class CapsuleArtifact:
-    """One loaded capsule directory."""
-
-    path: str
-    manifest: Dict[str, Any]
-
-    @property
-    def capsule_id(self) -> str:
-        return str(self.manifest.get("run_id", os.path.basename(self.path)))
-
-    @property
-    def content_hash(self) -> str:
-        return str(self.manifest.get("content_hash", ""))
-
-    @property
-    def label(self) -> str:
-        return str(self.manifest.get("label", ""))
-
-    @property
-    def workload(self) -> Optional[str]:
-        return self.manifest.get("workload")
+class Capsule(RunArtifact):
+    """A loaded ``kind: "capsule"`` artifact with the window and
+    violation accessors."""
 
     @property
     def reason(self) -> str:
-        return str(self.manifest.get("reason", ""))
+        return str(self.extra.get("reason", ""))
 
     @property
     def window(self) -> Dict[str, Any]:
-        return dict(self.manifest.get("window", {}))
+        return dict(self.extra.get("window", {}))
 
     @property
     def violation(self) -> Optional[Dict[str, Any]]:
-        return self.manifest.get("violation")
+        return self.extra.get("violation")
 
     @property
     def violation_cycle(self) -> Optional[int]:
@@ -98,11 +74,7 @@ class CapsuleArtifact:
 
     @property
     def source_run(self) -> Optional[str]:
-        return self.manifest.get("source_run")
-
-    @property
-    def host(self) -> Dict[str, Any]:
-        return dict(self.manifest.get("host", {}))
+        return self.extra.get("source_run")
 
     def contains_cycle(self, cycle: int) -> bool:
         window = self.window
@@ -111,38 +83,26 @@ class CapsuleArtifact:
             return False
         return start <= cycle <= end
 
-    # -- payload readers -------------------------------------------------
-
-    def _read(self, name: str) -> Optional[str]:
-        path = os.path.join(self.path, name)
-        if not os.path.exists(path):
-            return None
-        with open(path) as fh:
-            return fh.read()
-
     def payload(self) -> Dict[str, Any]:
-        text = self._read(CAPSULE_NAME)
-        return json.loads(text) if text else {}
+        return self._read_json(CAPSULE_NAME) or {}
 
     def rows(self) -> List[Dict[str, Any]]:
         """The per-tick capture rows, in cycle order."""
-        text = self._read(WINDOW_NAME)
-        if not text:
-            return []
-        return [json.loads(line) for line in text.splitlines() if line]
+        return self._stream(WINDOW_NAME)[0]
 
     def events(self) -> List[Dict[str, Any]]:
-        text = self._read(EVENTS_NAME)
-        if not text:
-            return []
-        return [json.loads(line) for line in text.splitlines() if line]
-
-    def profile(self) -> Optional[Dict[str, Any]]:
-        text = self._read(PROFILE_NAME)
-        return json.loads(text) if text else None
+        """The window's seam events."""
+        return self._stream(EVENTS_NAME)[0]
 
 
-# -- emission --------------------------------------------------------------
+def as_capsule(artifact: RunArtifact) -> Capsule:
+    """The capsule view of a loaded artifact; an error for other kinds."""
+    if artifact.kind != CAPSULE_KIND:
+        raise ArtifactError(
+            "%s is a %r artifact, not a capsule (try 'python -m repro "
+            "debug list')" % (artifact.run_id, artifact.kind)
+        )
+    return Capsule(path=artifact.path, manifest=artifact.manifest)
 
 
 def emit_capsule(
@@ -154,8 +114,8 @@ def emit_capsule(
     source_run: Optional[str] = None,
     host: Optional[Dict[str, Any]] = None,
     root: str = DEFAULT_ROOT,
-) -> CapsuleArtifact:
-    """Write one debug capsule from a
+) -> Capsule:
+    """Store one debug capsule from a
     :class:`~repro.functional.replay.WindowCapture` and return it
     loaded.
 
@@ -165,7 +125,7 @@ def emit_capsule(
     """
     window = capture.summary()
     payload: Dict[str, Any] = {
-        "schema": CAPSULE_SCHEMA_VERSION,
+        "schema": SCHEMA_VERSION,
         "kind": CAPSULE_KIND,
         "label": label,
         "workload": workload,
@@ -174,112 +134,27 @@ def emit_capsule(
         "window": window,
         "baseline": dict(sorted(capture.baseline.items())),
     }
+    rows = [
+        dict(row, kind=TICK_KIND, seq=seq)
+        for seq, row in enumerate(capture.rows)
+    ]
     files: Dict[str, str] = {
         CAPSULE_NAME: canonical_json(payload),
-        WINDOW_NAME: jsonl(capture.rows),
-        EVENTS_NAME: jsonl(capture.events),
+        WINDOW_NAME: stream_jsonl("window", rows),
+        EVENTS_NAME: stream_jsonl("events", capture.events),
     }
     if capture.profile is not None:
         files[PROFILE_NAME] = canonical_json(capture.profile)
-
-    identity: Dict[str, Any] = {
-        "schema": CAPSULE_SCHEMA_VERSION,
-        "kind": CAPSULE_KIND,
-        "label": label,
-        "workload": workload,
-        "window": window,
+    extra = {
+        "reason": reason,
         "violation": violation,
+        "window": window,
+        "source_run": source_run,
     }
-    file_hashes = {
-        name: _sha256_text(text)
-        for name, text in files.items()
-        if name in CAPSULE_HASHED_FILES
-    }
-    content_hash = _content_hash(identity, file_hashes)
-
-    base_id = "%s-%s-%s" % (CAPSULE_PREFIX, _slug(label), content_hash[:12])
-    os.makedirs(root, exist_ok=True)
-    capsule_id = base_id
-    serial = 1
-    while os.path.exists(os.path.join(root, capsule_id)):
-        # Same-content re-captures are kept side by side, like run
-        # artifacts: the byte-identity tests diff two of them.
-        serial += 1
-        capsule_id = "%s.%d" % (base_id, serial)
-    path = os.path.join(root, capsule_id)
-    os.makedirs(path)
-
-    manifest: Dict[str, Any] = dict(identity)
-    manifest["run_id"] = capsule_id
-    manifest["content_hash"] = content_hash
-    manifest["reason"] = reason
-    manifest["source_run"] = source_run
-    manifest["files"] = {
-        name: file_hashes.get(name, "") for name in sorted(files)
-    }
-    manifest["host"] = dict(host or {})
-    manifest["host"]["engine"] = capture.engine
-
-    for name, text in files.items():
-        with open(os.path.join(path, name), "w") as fh:
-            fh.write(text)
-    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return CapsuleArtifact(path=path, manifest=manifest)
-
-
-# -- loading and query -----------------------------------------------------
-
-
-def is_capsule_dir(path: str) -> bool:
-    manifest = os.path.join(path, MANIFEST_NAME)
-    if not os.path.exists(manifest):
-        return False
-    try:
-        with open(manifest) as fh:
-            return json.load(fh).get("kind") == CAPSULE_KIND
-    except (OSError, ValueError):
-        return False
-
-
-def list_capsules(root: str = DEFAULT_ROOT) -> List[str]:
-    """Capsule ids under *root*, sorted."""
-    if not os.path.isdir(root):
-        return []
-    return sorted(
-        name
-        for name in os.listdir(root)
-        if is_capsule_dir(os.path.join(root, name))
-    )
-
-
-def load_capsule(ref: str, root: str = DEFAULT_ROOT) -> CapsuleArtifact:
-    """Load a capsule by directory path, id, or unique id prefix."""
-    candidates: List[str] = []
-    if os.path.isdir(ref) and is_capsule_dir(ref):
-        candidates = [ref]
-    else:
-        direct = os.path.join(root, ref)
-        if is_capsule_dir(direct):
-            candidates = [direct]
-        else:
-            matches = [
-                cid for cid in list_capsules(root) if cid.startswith(ref)
-            ]
-            if len(matches) > 1:
-                raise ArtifactError(
-                    "ambiguous capsule %r: matches %s" % (ref, matches)
-                )
-            candidates = [os.path.join(root, m) for m in matches]
-    if not candidates:
-        raise ArtifactError(
-            "no capsule %r under %s (try 'python -m repro debug list')"
-            % (ref, root)
-        )
-    path = candidates[0]
-    with open(os.path.join(path, MANIFEST_NAME)) as fh:
-        manifest = json.load(fh)
-    return CapsuleArtifact(path=path, manifest=manifest)
+    host = dict(host or {}, engine=capture.engine)
+    artifact = write_artifact(CAPSULE_KIND, "capsule-%s" % label, workload,
+                              {}, extra, files, host, root)
+    return as_capsule(artifact)
 
 
 def find_capsules(
@@ -287,11 +162,11 @@ def find_capsules(
     workload: Optional[str] = None,
     containing_cycle: Optional[int] = None,
     source_run: Optional[str] = None,
-) -> List[CapsuleArtifact]:
+) -> List[Capsule]:
     """Capsules matching every given filter (None filters match all)."""
     out = []
-    for capsule_id in list_capsules(root):
-        capsule = load_capsule(capsule_id, root)
+    for capsule_id in list_artifacts(root, kind=CAPSULE_KIND):
+        capsule = as_capsule(load_artifact(capsule_id, root))
         if workload is not None and capsule.workload != workload:
             continue
         if containing_cycle is not None and not capsule.contains_cycle(
@@ -302,40 +177,6 @@ def find_capsules(
             continue
         out.append(capsule)
     return out
-
-
-def verify_capsule(capsule: CapsuleArtifact) -> List[str]:
-    """Re-hash payload files against the manifest; returns problems
-    (empty == intact)."""
-    problems = []
-    recorded = capsule.manifest.get("files", {})
-    for name, want in sorted(recorded.items()):
-        path = os.path.join(capsule.path, name)
-        if not os.path.exists(path):
-            problems.append("missing payload file %s" % name)
-            continue
-        if name not in CAPSULE_HASHED_FILES or not want:
-            continue
-        with open(path) as fh:
-            got = _sha256_text(fh.read())
-        if got != want:
-            problems.append(
-                "hash mismatch on %s: manifest %s.., file %s.."
-                % (name, want[:12], got[:12])
-            )
-    identity = {
-        key: capsule.manifest.get(key)
-        for key in ("schema", "kind", "label", "workload", "window",
-                    "violation")
-    }
-    hashes = {
-        name: value
-        for name, value in recorded.items()
-        if name in CAPSULE_HASHED_FILES and value
-    }
-    if _content_hash(identity, hashes) != capsule.content_hash:
-        problems.append("content hash does not match manifest identity")
-    return problems
 
 
 # -- capsule diffing -------------------------------------------------------
@@ -349,8 +190,8 @@ ROW_FIELDS = (
 
 
 def diff_capsules(
-    a: CapsuleArtifact,
-    b: CapsuleArtifact,
+    a: Capsule,
+    b: Capsule,
     max_diffs: int = 64,
 ) -> Dict[str, Any]:
     """Cycle-by-cycle field diff of two capsules.

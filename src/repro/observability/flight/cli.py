@@ -2,7 +2,7 @@
 
 Modes::
 
-    report --list                         list run artifacts
+    report --list                         list artifacts (runs, capsules)
     report A                              analyze one artifact (seam-cost
                                           attribution, timeline, flame)
     report A B                            diff baseline A vs candidate B;
@@ -25,20 +25,20 @@ import os
 from typing import List, Optional
 
 from repro.observability.flight.analytics import (
-    flame_stacks,
     render_attribution,
     render_timeline,
     seam_attribution,
 )
 from repro.observability.flight.artifact import (
     DEFAULT_ROOT,
+    RUN_KIND,
     ArtifactError,
     RunArtifact,
     list_artifacts,
     load_artifact,
     verify_artifact,
 )
-from repro.observability.flight.capsule import find_capsules, is_capsule_dir
+from repro.observability.flight.capsule import find_capsules
 from repro.observability.flight.regression import (
     DEFAULT_NOISE,
     compare_against_bench,
@@ -54,6 +54,8 @@ def _describe(artifact: RunArtifact) -> str:
         "experiment=%s" % artifact.experiment,
         "workload=%s" % artifact.workload,
     ]
+    if artifact.kind != RUN_KIND:
+        bits.append("kind=%s" % artifact.kind)
     if timing:
         bits.append("cycles=%s" % timing.get("cycles"))
     if "cycles_per_sec" in host:
@@ -62,7 +64,7 @@ def _describe(artifact: RunArtifact) -> str:
         bits.append("trace")
     if artifact.profile() is not None:
         bits.append("profile")
-    pulse = artifact.pulse_summary()
+    pulse = artifact.footer("pulse")
     if pulse is not None:
         bits.append(_describe_pulse(pulse))
     return " ".join(bits)
@@ -71,47 +73,27 @@ def _describe(artifact: RunArtifact) -> str:
 def _describe_pulse(pulse: dict) -> str:
     """The per-run telemetry summary column: final sim rate, peak
     occupancies and stall count from the FastPulse footer."""
-    det = pulse.get("det", {})
-    host = pulse.get("host", {})
     parts = []
-    cps = host.get("cps")
+    cps = pulse.get("host", {}).get("cps")
     if cps:
         parts.append("cps=%.0f" % float(cps))
-    peak_tb = det.get("peak_tb")
+    peak_tb = pulse.get("peak_tb")
     if peak_tb is not None:
         parts.append("peak_tb=%s" % peak_tb)
-    peak_rob = det.get("peak_rob")
+    peak_rob = pulse.get("peak_rob")
     if peak_rob is not None:
         parts.append("peak_rob=%s" % peak_rob)
-    parts.append("stalls=%s" % det.get("stalls", 0))
+    parts.append("stalls=%s" % pulse.get("stalls", 0))
     return "pulse[%s]" % " ".join(parts)
 
 
-def _run_ids(root: str) -> List[str]:
-    """Run-artifact ids under *root*; debug capsules share the store
-    but are a different artifact kind (``repro debug list``)."""
-    return [
-        name for name in list_artifacts(root)
-        if not is_capsule_dir(os.path.join(root, name))
-    ]
-
-
 def _list(root: str) -> int:
-    run_ids = _run_ids(root)
+    run_ids = list_artifacts(root)
     if not run_ids:
-        print("no run artifacts under %s" % root)
+        print("no artifacts under %s" % root)
     for run_id in run_ids:
         artifact = load_artifact(run_id, root=root)
         print("%-44s %s" % (run_id, _describe(artifact)))
-    capsules = find_capsules(root)
-    if capsules:
-        print()
-        print("debug capsules (inspect with `python -m repro debug`):")
-        for capsule in capsules:
-            window = capsule.window
-            print("%-44s workload=%s cycles=[%s, %s]" % (
-                capsule.capsule_id, capsule.workload or "-",
-                window.get("start"), window.get("end")))
     return 0
 
 
@@ -121,41 +103,41 @@ def _analyze_one(artifact: RunArtifact, flame_out: Optional[str],
     problems = verify_artifact(artifact)
     for problem in problems:
         print("INTEGRITY: %s" % problem)
-    print()
-    print(render_attribution(seam_attribution(artifact)))
+    if artifact.kind == RUN_KIND:
+        print()
+        print(render_attribution(seam_attribution(artifact)))
     if artifact.windows() is not None:
         print()
         print(render_timeline(artifact))
-    summary = artifact.trace_summary()
-    if summary is not None:
+    trace = artifact.footer("trace")
+    if trace is not None:
         print()
         print(
             "trace: %d recorded, %d retained, %d dropped"
-            % (summary.get("recorded", 0), summary.get("retained", 0),
-               summary.get("dropped", 0))
+            % (trace.get("recorded", 0), trace.get("retained", 0),
+               trace.get("dropped", 0))
         )
-        if summary.get("dropped", 0):
+        if trace.get("dropped", 0):
             print(
                 "  WARNING: ring overflowed; oldest events are missing "
                 "from the stream (per-kind totals remain exact)"
             )
-    pulse = artifact.pulse_summary()
+    pulse = artifact.footer("pulse")
     if pulse is not None:
-        det = pulse.get("det", {})
         host = pulse.get("host", {})
         print()
         line = "pulse: %s samples, %s stalls" % (
-            det.get("samples", 0), det.get("stalls", 0))
+            pulse.get("samples", 0), pulse.get("stalls", 0))
         if host.get("cps"):
             line += ", %.0f cyc/s" % float(host["cps"])
-        if det.get("peak_tb") is not None:
-            line += ", peak tb=%s" % det["peak_tb"]
-        if det.get("peak_rob") is not None:
-            line += ", peak rob=%s" % det["peak_rob"]
-        if det.get("det_hash"):
-            line += ", det %s" % str(det["det_hash"])[:12]
+        if pulse.get("peak_tb") is not None:
+            line += ", peak tb=%s" % pulse["peak_tb"]
+        if pulse.get("peak_rob") is not None:
+            line += ", peak rob=%s" % pulse["peak_rob"]
+        if pulse.get("hash"):
+            line += ", hash %s" % str(pulse["hash"])[:12]
         print(line)
-        if not det.get("finished", True):
+        if not pulse.get("finished", True):
             print("  WARNING: sidecar footer says the run never finished")
     capsules = find_capsules(root, source_run=artifact.run_id)
     if not capsules:
@@ -166,7 +148,7 @@ def _analyze_one(artifact: RunArtifact, flame_out: Optional[str],
         for capsule in capsules:
             window = capsule.window
             print("  %-44s cycles=[%s, %s]  %s" % (
-                capsule.capsule_id, window.get("start"),
+                capsule.run_id, window.get("start"),
                 window.get("end"), capsule.reason))
         print("  (inspect with `python -m repro debug show <id>`)")
     if flame_out and artifact.profile() is not None:
@@ -195,7 +177,7 @@ def _link_divergence_capsules(report, candidate: RunArtifact,
         for capsule in capsules:
             window = capsule.window
             print("  %-44s cycles=[%s, %s]" % (
-                capsule.capsule_id, window.get("start"),
+                capsule.run_id, window.get("start"),
                 window.get("end")))
         print("  (diff with `python -m repro debug diff`)")
     else:
@@ -236,7 +218,7 @@ def report_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--list", action="store_true", dest="list_runs",
-        help="list run artifacts and exit",
+        help="list artifacts (every kind) and exit",
     )
     parser.add_argument(
         "--json", default=None, metavar="PATH",
@@ -271,7 +253,7 @@ def _dispatch(args) -> int:
         else:
             targets = [
                 load_artifact(run_id, root=args.root)
-                for run_id in _run_ids(args.root)
+                for run_id in list_artifacts(args.root, kind=RUN_KIND)
             ]
             targets = [
                 t for t in targets

@@ -1,6 +1,7 @@
 """``python -m repro debug``: the time-travel debugging CLI.
 
-Capsules are captured (``debug capture``), listed, inspected
+Capsules -- ``kind: "capsule"`` artifacts in the one artifact store --
+are captured (``debug capture``), listed, inspected
 (``debug show``: window rows, seam events, the triggering violation),
 diffed cycle-by-cycle with first-divergence search (``debug diff``) and
 exported as collapsed flame stacks (``debug flame``).  Capture builds
@@ -23,15 +24,24 @@ import json
 from typing import List, Optional
 
 from repro.observability.events import canonical_line
-from repro.observability.flight.artifact import ArtifactError, DEFAULT_ROOT
+from repro.observability.flight.artifact import (
+    DEFAULT_ROOT,
+    ArtifactError,
+    load_artifact,
+    verify_artifact,
+)
 from repro.observability.flight.capsule import (
+    Capsule,
+    as_capsule,
     diff_capsules,
-    list_capsules,
-    load_capsule,
-    verify_capsule,
+    find_capsules,
 )
 
 DEFAULT_MAX_CYCLES = 2_000_000
+
+
+def _load(ref: str, root: str) -> Capsule:
+    return as_capsule(load_artifact(ref, root))
 
 
 def _parse_watch(spec: str):
@@ -111,7 +121,7 @@ def _cmd_capture(args) -> int:
         print("no invariant fired; nothing to capture")
         return 1
     window = capsule.window
-    print("capsule: %s" % capsule.capsule_id)
+    print("capsule: %s" % capsule.run_id)
     print("  path:    %s" % capsule.path)
     print("  reason:  %s" % capsule.reason)
     print("  window:  cycles [%s, %s] around %s"
@@ -121,17 +131,16 @@ def _cmd_capture(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    ids = list_capsules(args.root)
-    if not ids:
+    capsules = find_capsules(args.root)
+    if not capsules:
         print("no capsules under %s" % args.root)
         return 0
-    for capsule_id in ids:
-        capsule = load_capsule(capsule_id, args.root)
+    for capsule in capsules:
         window = capsule.window
         print(
             "%-48s %-12s cycles [%s, %s]  %s"
             % (
-                capsule_id,
+                capsule.run_id,
                 capsule.workload or "-",
                 window.get("start"),
                 window.get("end"),
@@ -142,8 +151,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_show(args) -> int:
-    capsule = load_capsule(args.ref, args.root)
-    problems = verify_capsule(capsule)
+    capsule = _load(args.ref, args.root)
+    problems = verify_artifact(capsule)
     if args.json:
         print(json.dumps(
             {
@@ -157,7 +166,7 @@ def _cmd_show(args) -> int:
         ))
         return 1 if problems else 0
     window = capsule.window
-    print("capsule %s" % capsule.capsule_id)
+    print("capsule %s" % capsule.run_id)
     print("  workload: %s" % (capsule.workload or "-"))
     print("  reason:   %s" % capsule.reason)
     print("  engine:   %s" % capsule.host.get("engine", "?"))
@@ -202,13 +211,13 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    a = load_capsule(args.a, args.root)
-    b = load_capsule(args.b, args.root)
+    a = _load(args.a, args.root)
+    b = _load(args.b, args.root)
     report = diff_capsules(a, b, max_diffs=args.max_diffs)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if report["identical"] else 1
-    print("diff %s vs %s" % (a.capsule_id, b.capsule_id))
+    print("diff %s vs %s" % (a.run_id, b.run_id))
     if report["identical"]:
         print("  identical (content hash %s)" % a.content_hash)
         return 0
@@ -238,11 +247,11 @@ def _cmd_diff(args) -> int:
 def _cmd_flame(args) -> int:
     from repro.observability.flight.analytics import write_flame
 
-    capsule = load_capsule(args.ref, args.root)
+    capsule = _load(args.ref, args.root)
     if capsule.profile() is None:
         print(
             "capsule %s carries no tick profile (captured on the legacy "
-            "engine, or with --no-profile)" % capsule.capsule_id
+            "engine, or with --no-profile)" % capsule.run_id
         )
         return 1
     count = write_flame(capsule, args.out)

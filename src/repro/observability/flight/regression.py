@@ -10,7 +10,9 @@ Three questions, in escalating severity:
    the same configuration is a correctness regression, not noise.
 3. **Where did it diverge?**  When two supposedly deterministic runs
    disagree and both carry seam traces, the event streams are bisected
-   (binary search over prefix hashes) to the *first* diverging event,
+   (binary search over the prefix digests of the one stream hash rule,
+   :func:`repro.observability.events.rolling_digests`) to the *first*
+   diverging event,
    named with its cycle, originating module and payload diff -- the
    debugging entry point, instead of two multi-megabyte JSONL files.
 
@@ -20,11 +22,10 @@ committed ``BENCH_*.json`` baselines, giving CI a regression gate.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.observability.events import canonical_line
+from repro.observability.events import rolling_digests
 from repro.observability.flight.analytics import (
     module_for_kind,
     seam_attribution,
@@ -106,22 +107,6 @@ class Divergence:
         }
 
 
-def _canonical_records(events: List[Dict[str, Any]]) -> List[str]:
-    return [canonical_line(event) for event in events]
-
-
-def _prefix_hashes(records: List[str]) -> List[bytes]:
-    """``hashes[i]`` = digest of records[:i]; O(n) precompute enabling
-    O(log n) prefix-equality probes during the bisection."""
-    digests = [b""]
-    rolling = hashlib.sha256()
-    for record in records:
-        rolling.update(record.encode("utf-8"))
-        rolling.update(b"\n")
-        digests.append(rolling.digest())
-    return digests
-
-
 def _divergence_at(index: int, a: List[Dict[str, Any]],
                    b: List[Dict[str, Any]]) -> Divergence:
     rec_a = a[index] if index < len(a) else None
@@ -162,19 +147,19 @@ def bisect_divergence(
 ) -> Optional[Divergence]:
     """Binary-search two event streams for their first diverging record.
 
-    Prefix hashes are computed once per stream (O(n)), then the longest
-    common prefix is found with O(log n) equality probes -- the stream
-    analogue of bisecting commits.  Returns ``None`` when the streams
+    The prefix digests of the footer's hash rule are computed once per
+    stream (O(n)), then the longest common prefix is found with
+    O(log n) equality probes -- the stream analogue of bisecting
+    commits.  ``seq`` is outside the hash rule, so streams that differ
+    only in numbering compare equal.  Returns ``None`` when the streams
     are identical, a :class:`Divergence` naming the cycle, module and
     payload delta otherwise.
     """
-    rec_a = _canonical_records(events_a)
-    rec_b = _canonical_records(events_b)
-    common = min(len(rec_a), len(rec_b))
-    hash_a = _prefix_hashes(rec_a)
-    hash_b = _prefix_hashes(rec_b)
+    common = min(len(events_a), len(events_b))
+    hash_a = rolling_digests(events_a)
+    hash_b = rolling_digests(events_b)
     if hash_a[common] == hash_b[common]:
-        if len(rec_a) == len(rec_b):
+        if len(events_a) == len(events_b):
             return None
         return _divergence_at(common, events_a, events_b)
     lo, hi = 0, common  # invariant: prefix[:lo] equal, prefix[:hi] not
@@ -288,14 +273,12 @@ def _compare_pulse(baseline: RunArtifact, candidate: RunArtifact,
                    report: "RegressionReport", noise: float) -> None:
     """When both artifacts adopted a FastPulse sidecar, gate the final
     telemetry rate inside the host-metric noise band and exact-compare
-    the deterministic footer (only when the cadences match -- a
-    different sampling interval legitimately changes the det stream)."""
-    pulse_a = baseline.pulse_summary()
-    pulse_b = candidate.pulse_summary()
+    the footer (only when the cadences match -- a different sampling
+    interval legitimately changes the sampled stream)."""
+    pulse_a = baseline.footer("pulse")
+    pulse_b = candidate.footer("pulse")
     if pulse_a is None or pulse_b is None:
         return
-    det_a = pulse_a.get("det", {})
-    det_b = pulse_b.get("det", {})
     cps_a = pulse_a.get("host", {}).get("cps")
     cps_b = pulse_b.get("host", {}).get("cps")
     if cps_a and cps_b:
@@ -304,19 +287,19 @@ def _compare_pulse(baseline: RunArtifact, candidate: RunArtifact,
                           True, noise)
         )
     same_cadence = (
-        det_a.get("interval_cycles") == det_b.get("interval_cycles")
-        and det_a.get("horizon") == det_b.get("horizon")
+        pulse_a.get("interval_cycles") == pulse_b.get("interval_cycles")
+        and pulse_a.get("horizon") == pulse_b.get("horizon")
     )
     if not same_cadence:
         report.notes.append(
             "pulse cadences differ; deterministic telemetry not compared"
         )
         return
-    for field in ("samples", "stalls", "det_hash"):
-        if det_a.get(field) != det_b.get(field):
+    for field in ("samples", "stalls", "hash"):
+        if pulse_a.get(field) != pulse_b.get(field):
             report.mismatches.append(
                 StatMismatch("pulse." + field,
-                             det_a.get(field), det_b.get(field))
+                             pulse_a.get(field), pulse_b.get(field))
             )
 
 

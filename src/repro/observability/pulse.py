@@ -14,40 +14,40 @@ exporter) tail while the run is still in flight.
 Record stream
 -------------
 
-Every record is one line of sorted-key compact JSON with a monotonic
-``seq`` number and a strict two-section split:
-
-* ``det`` -- target-deterministic fields (cycle, committed
-  instructions/uops, IPC, trace-buffer/ROB occupancy, invariant
-  firings, watchdog stall state, progress vs. the configured horizon).
-  Sampling cadence is pure cycle arithmetic, so the ``det`` sections of
-  due samples -- and the footer's ``det`` section -- are byte-identical
-  across same-seed runs and across both tick engines.
-* ``host`` -- volatile host-timing fields (heartbeat timestamp, wall
-  seconds, sim-cycles/sec, ETA).  Never enters any hash.
+The sidecar uses the one record format of
+:mod:`repro.observability.events`: each line is ``{"kind", "seq",
+...deterministic fields}`` plus one ``host`` object of volatile
+host-timing fields (heartbeat timestamp, wall seconds, sim-cycles/sec,
+ETA) that never enters any hash.  The deterministic fields are cycle,
+committed instructions/uops, IPC, trace-buffer/ROB occupancy,
+invariant firings, watchdog stall state and progress vs. the
+configured horizon.  Sampling cadence is pure cycle arithmetic, so due
+samples -- and the footer -- are byte-identical outside ``seq`` and
+``host`` across same-seed runs and across both tick engines.
 
 Four record kinds::
 
     pulse_header   written atomically at arm time (seq 0): schema,
-                   workload, cadence, horizon, watchdog config
-    pulse          one per due sample (det["sample"] counts them);
+                   workload, cadence, horizon, engine, watchdog config
+    pulse          one per due sample ("sample" counts them);
                    ``pulse_hb`` is the same shape emitted off-cadence
                    purely to keep the heartbeat fresh for readers
-                   (det["sample"] is null; excluded from the det hash)
+                   ("sample" is null; never hashed)
     pulse_stall    the liveness watchdog's edge-triggered no-progress
-                   flag (deterministic: derived from det fields only)
-    pulse_footer   final summary; ``det.det_hash`` is a rolling SHA-256
-                   over every due sample's and stall's det section
+                   flag (deterministic: derived from sample fields only)
+    footer         the shared footer (``stream: "pulse"``); its
+                   ``hash`` covers every due sample and stall, and it
+                   adds the final snapshot, peaks and cadence
 
 Wall-clock capping: ``min_wall_s`` coalesces due-sample *writes* that
 land closer together than the cap (the skipped count rides along in
-``host.coalesced``), but the deterministic rolling hash is updated at
-every due sample regardless, so coalescing never perturbs the footer.
+``host.coalesced``), but the rolling hash is updated at every due
+sample regardless, so coalescing never perturbs the footer.
 
 The liveness watchdog
 ---------------------
 
-:class:`LivenessWatchdog` watches the det stream for *no-progress*
+:class:`LivenessWatchdog` watches the due samples for *no-progress*
 stalls: no committed instruction and no idle-cycle progress across
 ``no_commit_cycles`` target cycles (the in-model watchdog in
 ``TimingConfig.watchdog_cycles`` raises; this one classifies and keeps
@@ -59,17 +59,21 @@ trigger FastWatch time travel via :func:`capture_stall_capsule`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.observability.events import canonical_line
+from repro.observability.events import (
+    FOOTER_KIND,
+    RollingHash,
+    canonical_line,
+    footer,
+    read_stream,
+)
 from repro.observability.plane import plane_for
 
-PULSE_SCHEMA = 1
+PULSE_SCHEMA = 2
 PULSE_NAME = "pulse.jsonl"
 DEFAULT_PULSE_DIR = os.path.join("results", "pulse")
 DEFAULT_INTERVAL_CYCLES = 50_000
@@ -81,15 +85,10 @@ HEADER_KIND = "pulse_header"
 SAMPLE_KIND = "pulse"
 HEARTBEAT_KIND = "pulse_hb"
 STALL_KIND = "pulse_stall"
-FOOTER_KIND = "pulse_footer"
-
-
-def _det_line(det: Dict[str, Any]) -> bytes:
-    return canonical_line(det).encode("utf-8")
 
 
 class LivenessWatchdog:
-    """Deterministic no-progress stall classification over det samples.
+    """Deterministic no-progress stall classification over due samples.
 
     Progress means either committed instructions or idle cycles
     advanced since the previous due sample (a sleeping machine is
@@ -111,11 +110,11 @@ class LivenessWatchdog:
         self._progress_mark: Optional[tuple] = None
         self._progress_cycle = 0
 
-    def observe(self, det: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """Feed one due sample's det section; returns the stall det
-        record on the stall's leading edge, else ``None``."""
-        cycle = int(det["cycle"])
-        mark = (det["instructions"], det["idle_cycles"])
+    def observe(self, sample: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """Feed one due sample's fields; returns the stall record on the
+        stall's leading edge, else ``None``."""
+        cycle = int(sample["cycle"])
+        mark = (sample["instructions"], sample["idle_cycles"])
         if self._progress_mark is None or mark != self._progress_mark:
             self._progress_mark = mark
             self._progress_cycle = cycle
@@ -128,10 +127,11 @@ class LivenessWatchdog:
             self.stalled = True
             self.stall_count += 1
             stall = {
-                "kind": "no_progress",
+                "kind": STALL_KIND,
+                "stall": "no_progress",
                 "cycle": cycle,
                 "since_cycle": self._progress_cycle,
-                "last_commit_cycle": det["last_commit_cycle"],
+                "last_commit_cycle": sample["last_commit_cycle"],
             }
             self.last_stall = stall
             if self.on_stall is not None:
@@ -185,7 +185,8 @@ class PulseEmitter:
         self._hb_check_cycles = max(1024, self.interval_cycles // 8)
         self._next_hb_check = self._hb_check_cycles
         self._next_wake = min(self._next_due, self._next_hb_check)
-        self._hash = hashlib.sha256()
+        self._hash = RollingHash()
+        self._hashed_kinds: Dict[str, int] = {}
         self._finalized = False
         self._lines: List[str] = []  # in-memory mode only
         self._fh = None
@@ -224,11 +225,13 @@ class PulseEmitter:
 
     # -- sampling --------------------------------------------------------
 
-    def _det_snapshot(self, cycle: int) -> Dict[str, Any]:
+    def _snapshot(self, kind: str, cycle: int) -> Dict[str, Any]:
+        """A record of *kind* holding the deterministic progress fields."""
         tm = self.tm
         be = tm.backend
         instructions = be.committed_instructions
-        det: Dict[str, Any] = {
+        record: Dict[str, Any] = {
+            "kind": kind,
             "cycle": cycle,
             "instructions": instructions,
             "uops": be.committed_uops,
@@ -239,12 +242,17 @@ class PulseEmitter:
             "invariants": (
                 self.monitor.firings if self.monitor is not None else 0
             ),
+            "stalls": (
+                self.watchdog.stall_count if self.watchdog is not None else 0
+            ),
         }
         occupancy = getattr(self.feed, "occupancy", None)
-        det["tb_occupancy"] = int(occupancy) if occupancy is not None else None
+        record["tb_occupancy"] = (
+            int(occupancy) if occupancy is not None else None
+        )
         if self.horizon:
-            det["progress"] = round(min(1.0, cycle / self.horizon), 6)
-        return det
+            record["progress"] = round(min(1.0, cycle / self.horizon), 6)
+        return record
 
     def _host_snapshot(self, cycle: int) -> Dict[str, Any]:
         now_pc = time.perf_counter()  # fastlint: ignore[DT002]
@@ -262,36 +270,38 @@ class PulseEmitter:
             host["eta_s"] = round(max(0, self.horizon - cycle) / cps, 1)
         return host
 
+    def _hash_record(self, record: Dict[str, Any]) -> None:
+        self._hash.update(record)
+        kind = record["kind"]
+        self._hashed_kinds[kind] = self._hashed_kinds.get(kind, 0) + 1
+
     def _sample(self, cycle: int) -> None:
-        det = self._det_snapshot(cycle)
-        det["sample"] = self._samples
+        sample = self._snapshot(SAMPLE_KIND, cycle)
+        sample["sample"] = self._samples
         self._samples += 1
         self._next_due = cycle + self.interval_cycles
         self._next_hb_check = cycle + self._hb_check_cycles
         stall = None
         if self.watchdog is not None:
-            stall = self.watchdog.observe(det)
-            det["stalls"] = self.watchdog.stall_count
-            det["stalled"] = self.watchdog.stalled
+            stall = self.watchdog.observe(sample)
+            sample["stalls"] = self.watchdog.stall_count
+            sample["stalled"] = self.watchdog.stalled
         else:
-            det["stalls"] = 0
-            det["stalled"] = False
-        # The rolling deterministic hash covers every *due* sample and
-        # every stall edge, written or coalesced -- the byte-identity
-        # contract the footer pins.
-        self._hash.update(_det_line(det))
-        self._hash.update(b"\n")
+            sample["stalled"] = False
+        # The rolling hash covers every *due* sample and every stall
+        # edge, written or coalesced -- the byte-identity contract the
+        # footer pins.
+        self._hash_record(sample)
         if stall is not None:
-            self._hash.update(_det_line(stall))
-            self._hash.update(b"\n")
-        tb = det["tb_occupancy"]
+            self._hash_record(stall)
+        tb = sample["tb_occupancy"]
         if tb is not None and tb > self._peak_tb:
             self._peak_tb = tb
-        if det["rob_occupancy"] > self._peak_rob:
-            self._peak_rob = det["rob_occupancy"]
+        if sample["rob_occupancy"] > self._peak_rob:
+            self._peak_rob = sample["rob_occupancy"]
         if stall is not None:
             ts = round(time.time(), 3)  # fastlint: ignore[DT002]
-            self._write_record(STALL_KIND, stall, {"ts": ts})
+            self._write_record(stall, {"ts": ts})
         now_pc = time.perf_counter()  # fastlint: ignore[DT002]
         if (
             self.min_wall_s > 0
@@ -303,7 +313,7 @@ class PulseEmitter:
             return
         host = self._host_snapshot(cycle)
         self._coalesced = 0
-        self._write_record(SAMPLE_KIND, det, host)
+        self._write_record(sample, host)
 
     def _heartbeat_check(self, cycle: int) -> None:
         self._next_hb_check = cycle + self._hb_check_cycles
@@ -313,21 +323,19 @@ class PulseEmitter:
         if now_pc - self._last_write_t < self.heartbeat_s:
             return
         # Off-cadence heartbeat: same shape as a pulse record but
-        # outside the deterministic stream (sample=null, never hashed).
-        det = self._det_snapshot(cycle)
-        det["sample"] = None
-        det["stalls"] = (
-            self.watchdog.stall_count if self.watchdog is not None else 0
-        )
-        det["stalled"] = (
+        # outside the hashed stream (sample=null).
+        beat = self._snapshot(HEARTBEAT_KIND, cycle)
+        beat["sample"] = None
+        beat["stalled"] = (
             self.watchdog.stalled if self.watchdog is not None else False
         )
-        self._write_record(HEARTBEAT_KIND, det, self._host_snapshot(cycle))
+        self._write_record(beat, self._host_snapshot(cycle))
 
     # -- record plumbing -------------------------------------------------
 
     def _write_header(self) -> None:
-        det = {
+        header = {
+            "kind": HEADER_KIND,
             "schema": PULSE_SCHEMA,
             "workload": self.workload,
             "interval_cycles": self.interval_cycles,
@@ -345,12 +353,12 @@ class PulseEmitter:
             "min_wall_s": self.min_wall_s,
             "heartbeat_s": self.heartbeat_s,
         }
-        self._write_record(HEADER_KIND, det, host)
+        self._write_record(header, host)
 
     def _write_record(
-        self, kind: str, det: Dict[str, Any], host: Dict[str, Any]
-    ) -> None:
-        record = {"kind": kind, "seq": self._seq, "det": det, "host": host}
+        self, record: Dict[str, Any], host: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        record = dict(record, seq=self._seq, host=host)
         self._seq += 1
         line = canonical_line(record)
         if self._fh is not None:
@@ -362,64 +370,44 @@ class PulseEmitter:
             self._lines.append(line + "\n")
         self._written += 1
         self._last_write_t = time.perf_counter()  # fastlint: ignore[DT002]
+        return record
 
     # -- finalization ----------------------------------------------------
 
-    def footer_det(self) -> Dict[str, Any]:
-        """The deterministic footer section (current state; stable only
-        after :meth:`finalize`)."""
-        det = self._det_snapshot(self.tm.cycle)
-        det.update(
-            {
-                "samples": self._samples,
-                "stalls": (
-                    self.watchdog.stall_count
-                    if self.watchdog is not None
-                    else 0
-                ),
-                "peak_tb": self._peak_tb,
-                "peak_rob": self._peak_rob,
-                "interval_cycles": self.interval_cycles,
-                "horizon": self.horizon,
-                "det_hash": self._hash.hexdigest(),
-            }
-        )
-        finished = getattr(self.feed, "finished", None)
-        if finished is not None:
-            det["finished"] = bool(finished)
-        return det
-
     def finalize(self) -> Dict[str, Any]:
-        """Write the footer (idempotent) and return its record."""
+        """Write the footer (idempotent) and return its record: the
+        shared footer plus the final snapshot, peaks and cadence."""
         if self._finalized:
             return self._footer_record
         self._finalized = True
-        det = self.footer_det()
+        fields = self._snapshot(FOOTER_KIND, self.tm.cycle)
+        fields.update(
+            samples=self._samples,
+            peak_tb=self._peak_tb,
+            peak_rob=self._peak_rob,
+            interval_cycles=self.interval_cycles,
+            horizon=self.horizon,
+        )
+        finished = getattr(self.feed, "finished", None)
+        if finished is not None:
+            fields["finished"] = bool(finished)
+        record = footer("pulse", sum(self._hashed_kinds.values()),
+                        self._hashed_kinds, self._hash.hexdigest(),
+                        **fields)
         now_pc = time.perf_counter()  # fastlint: ignore[DT002]
         wall = now_pc - self._t0
         host = {
             "ts": round(time.time(), 3),  # fastlint: ignore[DT002]
             "wall_s": round(wall, 3),
-            "cps": round(det["cycle"] / wall, 1) if wall > 0 else 0.0,
+            "cps": round(record["cycle"] / wall, 1) if wall > 0 else 0.0,
             "written": self._written,
             "coalesced": self._coalesced_total,
         }
-        self._footer_record = {
-            "kind": FOOTER_KIND,
-            "seq": self._seq,
-            "det": det,
-            "host": host,
-        }
-        self._write_record(FOOTER_KIND, det, host)
+        self._footer_record = self._write_record(record, host)
         if self._fh is not None:
             self._fh.close()
             self._fh = None
         return self._footer_record
-
-    def summary(self) -> Dict[str, Any]:
-        """The footer record (finalizing if needed) -- FastScope's
-        ``report()`` embeds this."""
-        return self.finalize()
 
     def sidecar_text(self) -> str:
         """The full JSONL stream (file-backed or in-memory)."""
@@ -476,31 +464,18 @@ class PulseSidecar:
     @property
     def name(self) -> str:
         if self.header is not None:
-            workload = self.header.get("det", {}).get("workload")
+            workload = self.header.get("workload")
             if workload:
                 return str(workload)
         base = os.path.basename(self.path)
         return base[: -len(".jsonl")] if base.endswith(".jsonl") else base
 
 
-def iter_records(path: str):
-    """Yield parsed records; a truncated (mid-write) final line is
-    skipped, never raised -- live tails end mid-record routinely."""
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except ValueError:
-                return
-
-
 def load_sidecar(path: str) -> PulseSidecar:
-    sidecar = PulseSidecar(path=path)
-    for record in iter_records(path):
-        sidecar.records += 1
+    records, sidecar_footer = read_stream(path)
+    sidecar = PulseSidecar(path=path, footer=sidecar_footer)
+    sidecar.records = len(records) + (sidecar_footer is not None)
+    for record in records:
         kind = record.get("kind")
         if kind == HEADER_KIND:
             sidecar.header = record
@@ -510,8 +485,6 @@ def load_sidecar(path: str) -> PulseSidecar:
                 sidecar.samples += 1
         elif kind == STALL_KIND:
             sidecar.stalls.append(record)
-        elif kind == FOOTER_KIND:
-            sidecar.footer = record
     return sidecar
 
 
@@ -556,7 +529,7 @@ def classify(
             return STATUS_ARMED
     else:
         record = sidecar.last
-        if record.get("det", {}).get("stalled"):
+        if record.get("stalled"):
             return STATUS_STALLED
     if now is None:
         now = time.time()  # fastlint: ignore[DT002]
@@ -575,23 +548,22 @@ def snapshot(
     if now is None:
         now = time.time()  # fastlint: ignore[DT002]
     record = sidecar.footer or sidecar.last or sidecar.header or {}
-    det = dict(record.get("det", {}))
-    host = dict(record.get("host", {}))
+    host = record.get("host", {})
     ts = host.get("ts")
     return {
         "run": sidecar.name,
         "path": sidecar.path,
         "status": classify(sidecar, now=now,
                            heartbeat_timeout=heartbeat_timeout),
-        "cycle": det.get("cycle", 0),
-        "instructions": det.get("instructions", 0),
-        "ipc": det.get("ipc", 0.0),
+        "cycle": record.get("cycle", 0),
+        "instructions": record.get("instructions", 0),
+        "ipc": record.get("ipc", 0.0),
         "cps": host.get("cps", 0.0),
-        "tb_occupancy": det.get("tb_occupancy"),
-        "rob_occupancy": det.get("rob_occupancy", 0),
-        "invariants": det.get("invariants", 0),
-        "stalls": det.get("stalls", len(sidecar.stalls)),
-        "progress": det.get("progress"),
+        "tb_occupancy": record.get("tb_occupancy"),
+        "rob_occupancy": record.get("rob_occupancy", 0),
+        "invariants": record.get("invariants", 0),
+        "stalls": record.get("stalls", len(sidecar.stalls)),
+        "progress": record.get("progress"),
         "eta_s": host.get("eta_s"),
         "age_s": round(now - float(ts), 1) if ts is not None else None,
         "samples": sidecar.samples,

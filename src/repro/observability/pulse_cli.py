@@ -185,12 +185,11 @@ def _run(args) -> int:
     )
     result = sim.run(args.max_cycles)
     footer = emitter.finalize()
-    det = footer["det"]
     print(
         "pulse: %s  cycles=%d instructions=%d samples=%d stalls=%d "
         "cps=%.0f" % (
-            sidecar, det["cycle"], det["instructions"], det["samples"],
-            det["stalls"], footer["host"]["cps"],
+            sidecar, footer["cycle"], footer["instructions"],
+            footer["samples"], footer["stalls"], footer["host"]["cps"],
         )
     )
     if args.artifact:

@@ -131,19 +131,18 @@ class FastScope:
                 }
                 for scheme in (flat, tree)
             },
-            "trace": self.tracer.summary(),
+            "trace": self.tracer.footer(),
             "triggers": [query.report() for query in self.triggers],
         }
         if self.monitor is not None:
             out["invariants"] = self.monitor.report()
         if self.pulse is not None:
-            out["pulse"] = self.pulse.summary()
+            out["pulse"] = self.pulse.finalize()
         if self.profiler is not None:
             out["profile"] = self.profiler.report()
         return out
 
-    def write_trace(self, path: str, footer: bool = False) -> int:
-        """Dump the event ring as JSONL; returns the record count.
-        With *footer*, append the ``trace_summary`` gap-detection
-        record (whole-run drop accounting)."""
-        return self.tracer.write_jsonl(path, footer=footer)
+    def write_trace(self, path: str) -> int:
+        """Dump the trace stream (event ring plus footer) as JSONL;
+        returns the event count."""
+        return self.tracer.write_jsonl(path)

@@ -362,7 +362,7 @@ def capture_debug_capsule(
     window is captured around that cycle (the watchpoint form: the
     caller got the cycle from a CompiledTriggerQuery firing, a
     regression divergence, or a hunch).  Returns the loaded
-    :class:`~repro.observability.flight.capsule.CapsuleArtifact`, or
+    :class:`~repro.observability.flight.capsule.Capsule`, or
     None when no violation fired and no center was given.
     """
     from repro.functional.replay import replay_window

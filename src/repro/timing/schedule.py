@@ -60,8 +60,8 @@ subscribes to the same plane with a cadence-derived hint (``next due sample - cy
 - 1``), so idle spans batch up to the next sample boundary and a due
 sample always lands on a fully-evaluated cycle.  Because the wake
 cycle replays the whole per-cycle path on both engines, the set of
-sampled cycles -- and therefore the deterministic section of every
-pulse record -- is engine-independent by construction.
+sampled cycles -- and therefore every pulse record outside its
+``seq`` and ``host`` fields -- is engine-independent by construction.
 """
 
 from __future__ import annotations

@@ -126,7 +126,8 @@ class TestDropAccounting:
             tracer.emit("tb_mispredict", bb=i)
         tracer.emit("tm_interrupt", vector=1)
         footer = tracer.footer()
-        assert footer["kind"] == "trace_summary"
+        assert footer["kind"] == "footer"
+        assert footer["stream"] == "trace"
         assert footer["recorded"] == 11
         assert footer["retained"] == 4
         assert footer["dropped"] == 7
@@ -134,16 +135,15 @@ class TestDropAccounting:
         # retains the last four records.
         assert footer["kinds"] == {"tb_mispredict": 10, "tm_interrupt": 1}
 
-    def test_jsonl_footer_is_opt_in(self):
+    def test_jsonl_footer_is_always_last(self):
         tracer = EventTracer(capacity=8)
         tracer.emit("fm_rollback", target_in=5, replayed=2)
-        plain = tracer.to_jsonl()
-        assert "trace_summary" not in plain
-        with_footer = tracer.to_jsonl(footer=True)
-        assert with_footer.startswith(plain.rstrip("\n"))
-        last = json.loads(with_footer.strip().splitlines()[-1])
-        assert last["kind"] == "trace_summary"
-        assert last["dropped"] == 0
+        lines = tracer.to_jsonl().splitlines()
+        assert len(lines) == 2
+        assert json.loads(lines[0])["kind"] == "fm_rollback"
+        last = json.loads(lines[-1])
+        assert last == tracer.footer()
+        assert last["kind"] == "footer" and last["dropped"] == 0
 
     def test_artifact_reports_drops(self, tmp_path):
         tracer = EventTracer(capacity=2)
@@ -163,7 +163,7 @@ class TestDropAccounting:
             experiment="drops", scope=MiniScope(tracer),
             root=str(tmp_path),
         )
-        summary = art.trace_summary()
+        summary = art.footer("trace")
         assert summary is not None
         assert summary["dropped"] == 3
         assert summary["kinds"]["tb_resolve"] == 5
@@ -201,7 +201,7 @@ class TestArtifactRoundTrip:
         assert a.events(), "boot slice should retain seam events"
         assert a.windows() is not None
         assert a.profile() is not None
-        summary = a.trace_summary()
+        summary = a.footer("trace")
         assert summary is not None
         assert summary["recorded"] >= summary["retained"]
 
@@ -587,6 +587,6 @@ def test_run_artifact_without_optional_payloads(tmp_path):
     assert art.profile() is None
     assert art.output() is None
     assert art.events() == []
-    assert art.trace_summary() is None
+    assert art.footer("trace") is None
     assert not art.has_trace()
     assert verify_artifact(art) == []

@@ -187,7 +187,14 @@ class TestEventTracer:
     def test_jsonl_is_sorted_and_compact(self):
         tracer = EventTracer(capacity=8)
         tracer.emit("z", b=1, a=2)
-        assert tracer.to_jsonl() == '{"a":2,"b":1,"cycle":0,"kind":"z","seq":0}\n'
+        # The event line, then the footer: its hash is SHA-256 over the
+        # event's canonical line without "seq".
+        assert tracer.to_jsonl() == (
+            '{"a":2,"b":1,"cycle":0,"kind":"z","seq":0}\n'
+            '{"dropped":0,"hash":"bef7d80f01b93583516dfec8b37fe8bb1b1d467b0'
+            'e8ed06b32fef87823ed3598","kind":"footer","kinds":{"z":1},'
+            '"recorded":1,"retained":1,"stream":"trace"}\n'
+        )
 
     def test_seam_events_recorded(self, boot_run):
         _, scope, _ = boot_run
@@ -510,7 +517,8 @@ class TestScopeReport:
         out = tmp_path / "trace.jsonl"
         count = scope.write_trace(str(out))
         assert count == len(scope.tracer.events)
-        assert len(out.read_text().splitlines()) == count
+        # The events, then the always-written footer.
+        assert len(out.read_text().splitlines()) == count + 1
 
 
 class TestObservabilityCli:

@@ -11,14 +11,18 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from repro.experiments.harness import build_fast_simulator
-from repro.observability.pulse import (
+from repro.observability.events import (
     FOOTER_KIND,
+    hashed_view,
+    read_stream,
+    stream_hash,
+)
+from repro.observability.pulse import (
     HEADER_KIND,
     HEARTBEAT_KIND,
     SAMPLE_KIND,
+    STALL_KIND,
     STATUS_DONE,
     STATUS_LIVE,
     LivenessWatchdog,
@@ -75,9 +79,9 @@ def _armed_run(engine="compiled", path=None, **kwargs):
 def test_footer_det_byte_identical_same_seed():
     _, a = _armed_run()
     _, b = _armed_run()
-    det_a, det_b = a.footer_det(), b.footer_det()
+    det_a, det_b = hashed_view(a.finalize()), hashed_view(b.finalize())
     assert det_a == det_b
-    assert det_a["det_hash"] == det_b["det_hash"]
+    assert det_a["hash"] == det_b["hash"]
     assert det_a["samples"] > 0
 
 
@@ -86,7 +90,7 @@ def test_footer_det_byte_identical_across_engines():
     # the sampled det stream is engine-independent by construction.
     _, compiled = _armed_run("compiled")
     _, legacy = _armed_run("legacy")
-    assert compiled.footer_det() == legacy.footer_det()
+    assert hashed_view(compiled.finalize()) == hashed_view(legacy.finalize())
 
 
 def test_coalescing_does_not_perturb_det_hash(tmp_path):
@@ -96,9 +100,28 @@ def test_coalescing_does_not_perturb_det_hash(tmp_path):
     _, capped = _armed_run(
         path=str(tmp_path / "capped.jsonl"), min_wall_s=3600.0
     )
-    assert capped.footer_det() == free.footer_det()
+    assert hashed_view(capped.finalize()) == hashed_view(free.finalize())
     sidecar = load_sidecar(str(tmp_path / "capped.jsonl"))
-    assert sidecar.samples < free.footer_det()["samples"]
+    assert sidecar.samples < free.finalize()["samples"]
+
+
+def test_one_hash_rule_serves_trace_and_pulse(tmp_path):
+    # Both footer hashes are recomputed from the written files with
+    # nothing but the shared reader and hash: the hashed records are
+    # those of the kinds the footer totals (never pulse heartbeats).
+    # min_wall_s=0 lands every due sample on disk.
+    from repro.observability.cli import trace_main
+
+    trace = str(tmp_path / "trace.jsonl")
+    assert trace_main(["--out", trace]) == 0
+    pulse = str(tmp_path / "pulse.jsonl")
+    _armed_run(path=pulse, min_wall_s=0.0)
+    for path, stream in ((trace, "trace"), (pulse, "pulse")):
+        records, footer = read_stream(path)
+        assert footer["stream"] == stream
+        hashed = [r for r in records if r["kind"] in footer["kinds"]]
+        assert hashed and len(hashed) == footer["retained"]
+        assert stream_hash(hashed) == footer["hash"]
 
 
 def test_pulse_does_not_perturb_timing_stats():
@@ -131,7 +154,7 @@ def test_idle_hint_preserves_fast_forward():
         result = sim.run(max_cycles=2_000_000)
         emitter.finalize()
         records = map(json.loads, emitter.sidecar_text().splitlines())
-        det = [r["det"] for r in records
+        det = [hashed_view(r) for r in records
                if r["kind"] not in (HEADER_KIND, HEARTBEAT_KIND)]
         return result, calls["n"], det
 
@@ -163,7 +186,8 @@ def test_watchdog_flags_no_progress_stall():
     assert dog.observe(_det(100, 10, last_commit=45)) is None  # <100 span
     stall = dog.observe(_det(150, 10, last_commit=45))
     assert stall == {
-        "kind": "no_progress",
+        "kind": STALL_KIND,
+        "stall": "no_progress",
         "cycle": 150,
         "since_cycle": 50,
         "last_commit_cycle": 45,
@@ -201,8 +225,8 @@ def test_stall_triggers_capsule_capture(monkeypatch):
         return "capsule"
 
     monkeypatch.setattr(watch, "capture_debug_capsule", fake_capture)
-    stall = {"kind": "no_progress", "cycle": 900, "since_cycle": 700,
-             "last_commit_cycle": 650}
+    stall = {"kind": STALL_KIND, "stall": "no_progress", "cycle": 900,
+             "since_cycle": 700, "last_commit_cycle": 650}
     out = capture_stall_capsule(lambda: None, "w", stall, delta=16)
     assert out == "capsule"
     assert seen["center"] == 700 and seen["delta"] == 16
@@ -221,7 +245,9 @@ def test_sidecar_stream_and_classify(tmp_path):
     kinds = {r["kind"] for r in records}
     assert SAMPLE_KIND in kinds and FOOTER_KIND in kinds
     for record in records:
-        assert set(record) == {"kind", "seq", "det", "host"}
+        # One flat envelope: host is the only key outside the hash.
+        assert {"kind", "seq", "host"} <= set(record)
+        assert "det" not in record
 
     sidecar = load_sidecar(path)
     assert sidecar.name == WORKLOAD
@@ -249,7 +275,7 @@ def test_truncated_tail_is_tolerated(tmp_path):
     _armed_run(path=path)
     whole = load_sidecar(path).records
     with open(path, "a") as fh:
-        fh.write('{"kind":"pulse","seq":99,"det"')  # torn mid-write
+        fh.write('{"kind":"pulse","seq":99,"cycle"')  # torn mid-write
     assert load_sidecar(path).records == whole
 
 
@@ -307,9 +333,8 @@ def test_artifact_adopts_sidecar(tmp_path):
     # Unhashed payload, hashed footer.
     assert artifact.manifest["files"]["pulse.jsonl"] == ""
     footer = artifact.manifest["extra"]["pulse_footer"]
-    summary = artifact.pulse_summary()
-    assert summary["det"] == footer
-    assert footer["det_hash"] and footer["samples"] > 0
+    assert hashed_view(artifact.footer("pulse")) == footer
+    assert footer["hash"] and footer["samples"] > 0
 
 
 def test_same_seed_artifacts_share_content_hash(tmp_path):
@@ -345,13 +370,13 @@ def test_report_diff_flags_det_footer_drift(tmp_path):
     side = os.path.join(b.path, "pulse.jsonl")
     lines = open(side).read().splitlines(True)
     footer = json.loads(lines[-1])
-    footer["det"]["det_hash"] = "0" * 64
+    footer["hash"] = "0" * 64
     lines[-1] = json.dumps(footer, sort_keys=True,
                            separators=(",", ":")) + "\n"
     with open(side, "w") as fh:
         fh.writelines(lines)
     report = compare_runs(a, b, noise=0.9)
-    assert any(m.name == "pulse.det_hash" for m in report.mismatches)
+    assert any(m.name == "pulse.hash" for m in report.mismatches)
     assert report.failed
 
 
@@ -476,7 +501,7 @@ def test_fastscope_arms_pulse_when_given_a_path(tmp_path):
     scope = FastScope(sim, pulse_path=path, pulse_interval=INTERVAL)
     sim.run(max_cycles=MAX_CYCLES)
     report = scope.report()
-    assert report["pulse"]["det"]["samples"] > 0
+    assert report["pulse"]["samples"] > 0
     assert load_sidecar(path).footer is not None
 
 
@@ -493,4 +518,4 @@ def test_scope_emit_artifact_auto_adopts_pulse(tmp_path):
         scope=scope, root=str(tmp_path / "runs"),
     )
     assert artifact.has_pulse()
-    assert artifact.pulse_summary()["det"]["samples"] > 0
+    assert artifact.footer("pulse")["samples"] > 0

@@ -15,12 +15,15 @@ from repro.observability import (
     find_first_violation,
     inject_violation,
 )
+from repro.observability.flight.artifact import (
+    list_artifacts,
+    load_artifact,
+    verify_artifact,
+)
 from repro.observability.flight.capsule import (
+    as_capsule,
     diff_capsules,
     find_capsules,
-    list_capsules,
-    load_capsule,
-    verify_capsule,
 )
 from repro.timing.core import TimingConfig
 from repro.timing.module import (
@@ -266,7 +269,7 @@ def test_injected_capture_window_contains_violation(tmp_path, kind):
     assert capsule.contains_cycle(cycle)
     rows = capsule.rows()
     assert rows and any(row["cycle"] == cycle for row in rows)
-    assert verify_capsule(capsule) == []
+    assert verify_artifact(capsule) == []
 
 
 def test_capsule_byte_identical_across_runs_and_engines(tmp_path):
@@ -319,12 +322,13 @@ def test_watchpoint_capture_and_find(tmp_path):
     assert capsule.violation is None
     assert capsule.window["start"] == 196
     assert capsule.window["end"] == 204
-    assert [c.capsule_id for c in
+    assert [c.run_id for c in
             find_capsules(str(tmp_path), containing_cycle=200)] \
-        == [capsule.capsule_id]
+        == [capsule.run_id]
     assert find_capsules(str(tmp_path), containing_cycle=500) == []
-    assert load_capsule(capsule.capsule_id[:20],
-                        str(tmp_path)).path == capsule.path
+    loaded = as_capsule(load_artifact(capsule.run_id[:20], str(tmp_path)))
+    assert loaded.path == capsule.path
+    assert loaded.window == capsule.window
 
 
 # -- the debug CLI -----------------------------------------------------------
@@ -345,7 +349,7 @@ def test_debug_cli_roundtrip(tmp_path, capsys):
     listed = capsys.readouterr().out
     assert WORKLOAD in listed
 
-    (capsule_id,) = list_capsules(root)
+    (capsule_id,) = list_artifacts(root, kind="capsule")
     assert debug_main(["show", capsule_id, "--root", root]) == 0
     shown = capsys.readouterr().out
     assert "<-- violation" in shown
@@ -353,6 +357,27 @@ def test_debug_cli_roundtrip(tmp_path, capsys):
     assert debug_main(["diff", capsule_id, capsule_id, "--root", root]) == 0
     diffed = capsys.readouterr().out
     assert "identical" in diffed
+
+
+def test_capsule_is_an_intact_run_artifact(tmp_path, capsys):
+    # A capsule lives in the one artifact store, so `repro report` on it
+    # verifies it by the same identity rule as `repro debug show`.
+    from repro.observability.flight.cli import report_main
+
+    root = str(tmp_path)
+    capsule = capture_debug_capsule(
+        _factory("compiled"),
+        workload=WORKLOAD,
+        inject="rob",
+        delta=4,
+        profile=False,
+        max_cycles=MAX_CYCLES,
+        root=root,
+    )
+    assert capsule.kind == "capsule"
+    assert verify_artifact(load_artifact(capsule.run_id, root)) == []
+    assert report_main([capsule.run_id, "--root", root]) == 0
+    assert "INTEGRITY" not in capsys.readouterr().out
 
 
 # -- FastScope integration ---------------------------------------------------
